@@ -1,4 +1,4 @@
-"""numpy-accelerated closure engines.
+"""numpy-accelerated closure engine.
 
 Matrices become int64 coordinate tensors over the power basis of Z[zeta_n],
 and projective identification minimizes over the finite scalar orbit
@@ -8,20 +8,12 @@ determinants: any scalar c relating two products P = c*Q of such matrices
 satisfies c^dim = det(P)/det(Q), a root of unity, so c is itself a root of
 unity lying in Q(zeta_n), hence a power of zeta_n once n is even.
 
-Two modes share the machinery:
-
-- exact mode (modulus None): plain int64 arithmetic with overflow guards;
-  its Completed/Exceeded outcomes are fully trusted.
-- counting mode (modulus p): all coordinates reduced mod a fixed prime.
-  Reduction is a ring homomorphism, so projectively equal elements always
-  collide; distinct keys therefore certify distinct elements and key count
-  can only undercount.  Passing the bound in this mode is honest evidence
-  for ExceededBound, while a completed run proves nothing (a collision can
-  merge elements) and the caller must fall back to an exact engine.
+Arithmetic is plain int64 with overflow guards, so Completed and Exceeded
+outcomes are fully trusted.
 
 Everything here is an internal accelerator.  grouporacle falls back to the
-exact CycMatrix engine when Unsuitable or Overflow is raised; completed
-outcomes always describe the identical element set.
+exact CycMatrix engine when Unsuitable is raised; completed outcomes always
+describe the identical element set.
 """
 
 from __future__ import annotations
@@ -34,16 +26,10 @@ from .exactfield import _ctx
 # keep one bit of headroom below the int64 ceiling
 _LIMIT = 1 << 62
 
-# fixed prime for counting mode; determinism requires never varying it
-COUNTING_PRIME = 1048573
-
 
 class Unsuitable(Exception):
-    """Input outside the fast engine's soundness preconditions."""
-
-
-class Overflow(Exception):
-    """A product could exceed int64; an exact engine must take over."""
+    """Input outside the fast engine's preconditions, or a product that could
+    exceed int64; the exact engine must take over."""
 
 
 def _lift(mat: CycMatrix, conductor: int) -> CycMatrix:
@@ -64,11 +50,10 @@ def _tensor(mat: CycMatrix, phi: int) -> np.ndarray:
 
 
 class _Engine:
-    def __init__(self, conductor: int, dim: int, modulus: int | None = None) -> None:
+    def __init__(self, conductor: int, dim: int) -> None:
         ctx = _ctx(conductor)
         self.n = conductor
         self.dim = dim
-        self.modulus = modulus
         self.phi = phi = ctx.phi
         # reduction rows: coords of zeta^m for m = 0 .. 2*phi-2
         self.red = np.array(ctx.powrows[: 2 * phi - 1], dtype=np.int64)
@@ -78,20 +63,8 @@ class _Engine:
         )
         self.red_max = int(np.abs(self.red).max())
         self.scal_max = int(np.abs(self.scal).max())
-        if modulus is not None:
-            self.red %= modulus
-            self.scal %= modulus
-            worst = (modulus - 1) ** 2 * dim * phi
-            if worst >= _LIMIT or worst * (2 * phi - 1) >= _LIMIT:
-                raise Unsuitable("modulus too large for this conductor")
         # primary lex key of the scalar action, for cheap orbit preselection
         self.scal0 = np.ascontiguousarray(self.scal[:, :, 0])
-
-    def _check_canonical(self, mats: np.ndarray) -> None:
-        if self.modulus is not None:
-            return
-        if int(np.abs(mats).max(initial=0)) * self.scal_max * self.phi >= _LIMIT:
-            raise Overflow("scalar orbit would overflow")
 
     def canonical_batch(self, mats: np.ndarray) -> list[tuple[np.ndarray, bytes]]:
         """Orbit-minimal form and hash key for each matrix in the batch.
@@ -100,10 +73,9 @@ class _Engine:
         coordinate of entry (0,0) across the orbit, falling back to full
         orbit rows for the (rare) ties.
         """
-        self._check_canonical(mats)
+        if int(np.abs(mats).max(initial=0)) * self.scal_max * self.phi >= _LIMIT:
+            raise Unsuitable("scalar orbit would overflow")
         firsts = mats[:, 0, 0, :] @ self.scal0.T
-        if self.modulus is not None:
-            firsts %= self.modulus
         out = []
         for f in range(len(mats)):
             row = firsts[f]
@@ -111,12 +83,8 @@ class _Engine:
             if len(ties) == 1:
                 k = int(ties[0])
                 canon = mats[f] @ self.scal[k]
-                if self.modulus is not None:
-                    canon %= self.modulus
             else:
                 orbit = np.einsum("abe,kei->kabi", mats[f], self.scal[ties])
-                if self.modulus is not None:
-                    orbit %= self.modulus
                 flat = orbit.reshape(len(ties), -1)
                 canon = orbit[np.lexsort(flat.T[::-1])[0]]
             out.append((canon, canon.tobytes()))
@@ -134,28 +102,19 @@ class _Engine:
         return out
 
     def multiply(self, batch: np.ndarray, gen3: np.ndarray, gen_max: int) -> np.ndarray:
-        if self.modulus is None:
-            batch_max = int(np.abs(batch).max(initial=0))
-            stage1 = batch_max * gen_max * self.dim * self.phi
-            if stage1 >= _LIMIT or stage1 * (2 * self.phi - 1) * self.red_max >= _LIMIT:
-                raise Overflow("product would overflow")
+        batch_max = int(np.abs(batch).max(initial=0))
+        stage1 = batch_max * gen_max * self.dim * self.phi
+        if stage1 >= _LIMIT or stage1 * (2 * self.phi - 1) * self.red_max >= _LIMIT:
+            raise Unsuitable("product would overflow")
         conv = np.einsum("facp,cpbm->fabm", batch, gen3)
-        if self.modulus is not None:
-            conv %= self.modulus
-        prod = np.tensordot(conv, self.red, axes=([3], [0]))
-        if self.modulus is not None:
-            prod %= self.modulus
-        return prod
+        return np.tensordot(conv, self.red, axes=([3], [0]))
 
 
-def run(
-    generators: list[CycMatrix], bound: int, modulus: int | None = None
-) -> tuple[bool, int, dict]:
+def run(generators: list[CycMatrix], bound: int) -> tuple[bool, int, dict]:
     """Closure by BFS over the tensor representation.
 
     Returns (completed, count, stats); count is the element total when
-    completed, else the key count reached when the bound was passed.  With a
-    modulus, only the not-completed outcome is meaningful to callers.
+    completed, else the key count reached when the bound was passed.
     """
     mats = list(generators)
     n = mats[0].conductor
@@ -165,15 +124,12 @@ def run(
     for m in mats:
         if m.det().as_root_of_unity() is None:
             raise Unsuitable("generator determinant is not a root of unity")
-    eng = _Engine(n, mats[0].dim, modulus)
-    label = "fast" if modulus is None else "fast-modp"
+    eng = _Engine(n, mats[0].dim)
 
     raw = []
     for m in mats:
         raw.append(_tensor(m, eng.phi))
         raw.append(_tensor(m.inv(), eng.phi))
-    if modulus is not None:
-        raw = [t % modulus for t in raw]
     gens: list[np.ndarray] = []
     seen_gen: set[bytes] = set()
     for t in raw:
@@ -202,9 +158,9 @@ def run(
                     visited.add(key)
                     fresh.append(canon)
             if len(visited) > bound:
-                stats = {"products": products, "peak_frontier": peak, "engine": label}
+                stats = {"products": products, "peak_frontier": peak, "engine": "fast"}
                 return False, len(visited), stats
         peak = max(peak, len(fresh))
         frontier = fresh
-    stats = {"products": products, "peak_frontier": peak, "engine": label}
+    stats = {"products": products, "peak_frontier": peak, "engine": "fast"}
     return True, len(visited), stats

@@ -116,9 +116,7 @@ def _closure_generators(args: argparse.Namespace):
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
-    result = projective_closure(
-        list(_closure_generators(args)), args.bound, engine=args.engine
-    )
+    result = projective_closure(list(_closure_generators(args)), args.bound)
     if args.format == "json":
         text = _json_text(result.to_json())
     else:
@@ -254,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-sign", dest="d_sign", choices=sorted(_SIGNS))
     p.add_argument("--ell", type=int, help="so7/so9: level parameter")
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    p.add_argument("--engine", choices=("auto", "fast", "exact"), default="auto")
     _output_options(p, ("table", "json"), "table")
     p.set_defaults(func=cmd_closure)
 

@@ -362,22 +362,3 @@ def _perm_sign(perm: Sequence[int]) -> int:
             sign = -sign
     return sign
 
-
-def mat_mul(a: CycMatrix, b: CycMatrix) -> CycMatrix:
-    return a * b
-
-
-def mat_inv(a: CycMatrix) -> CycMatrix:
-    return a.inv()
-
-
-def char_poly(a: CycMatrix) -> CycPolynomial:
-    return a.char_poly()
-
-
-def projective_canonical(a: CycMatrix) -> CycMatrix:
-    return a.projective_canonical()
-
-
-def projective_order(a: CycMatrix, bound: int) -> int | None:
-    return a.projective_order(bound)

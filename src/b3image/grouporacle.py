@@ -153,7 +153,7 @@ def _exact_closure(generators: list[CycMatrix], bound: int) -> ClosureResult:
 
 
 def projective_closure(
-    generators: list[CycMatrix], bound: int = DEFAULT_BOUND, engine: str = "auto"
+    generators: list[CycMatrix], bound: int = DEFAULT_BOUND
 ) -> ClosureResult:
     """BFS closure of the projective group the generators span.
 
@@ -163,31 +163,13 @@ def projective_closure(
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if engine not in ("auto", "fast", "exact"):
-        raise ValueError(f"unknown engine {engine!r}")
     _validate_generators(generators)
-    if engine in ("auto", "fast"):
-        try:
-            completed, count, stats = _fastclosure.run(generators, bound)
-            outcome = COMPLETED if completed else EXCEEDED
-            return ClosureResult(outcome, count if completed else None, bound, stats)
-        except _fastclosure.Unsuitable:
-            if engine == "fast":
-                raise ValueError("fast engine unsuitable for these generators")
-        except _fastclosure.Overflow:
-            if engine == "fast":
-                raise ValueError("fast engine overflowed; use the exact engine")
-            # mod-p counting undercounts at worst, so passing the bound there
-            # is already honest evidence; a completed count proves nothing
-            try:
-                completed, count, stats = _fastclosure.run(
-                    generators, bound, modulus=_fastclosure.COUNTING_PRIME
-                )
-                if not completed:
-                    return ClosureResult(EXCEEDED, None, bound, stats)
-            except (_fastclosure.Unsuitable, _fastclosure.Overflow):
-                pass
-    return _exact_closure(generators, bound)
+    try:
+        completed, count, stats = _fastclosure.run(generators, bound)
+    except _fastclosure.Unsuitable:
+        return _exact_closure(generators, bound)
+    outcome = COMPLETED if completed else EXCEEDED
+    return ClosureResult(outcome, count if completed else None, bound, stats)
 
 
 def check_relation(generators: list[CycMatrix], lhs: Word, rhs: Word) -> bool:

@@ -25,7 +25,7 @@ from .grouporacle import (
     projective_closure,
 )
 from .repforms import EigenSpec, _sign_for, build_so7, build_so9
-from .verdict import FINITE, INFINITE, UNDECIDABLE, Verdict, classify
+from .verdict import _D4_ACHIEVABLE, FINITE, INFINITE, UNDECIDABLE, Verdict, classify
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,13 @@ FAMILIES: dict[str, QGFamily] = {
             "SO7spin",
             4,
             ((0, False), (12, False), (6, True), (10, True)),
-            lambda ell: build_so7(ell),
+            build_so7,
         ),
         QGFamily(
             "SO9spin",
             5,
             ((0, False), (8, False), (14, True), (18, True), (20, False)),
-            lambda ell: build_so9(ell),
+            build_so9,
         ),
     )
 }
@@ -125,9 +125,6 @@ class Expectation:
     quote: str
 
 
-_D4_EXEMPT = {7, 8, 9, 10, 12, 15, 20, 24}
-
-
 def expectation(family: QGFamily | str, ell: int) -> Expectation:
     fam = _resolve(family)
     if not fam.valid(ell):
@@ -167,7 +164,9 @@ def expectation(family: QGFamily | str, ell: int) -> Expectation:
                 FINITE, None, '"G is a finite imprimitive group by Theorem (c)(i)"'
             )
         quote = '"provided ℓ/2∉{7,8,9,10,12,15,15,20,24}, G is infinite" [sic]'
-        if ell // 2 in _D4_EXEMPT:
+        # the quoted exemption list is the d=4 gap set _D4_ACHIEVABLE minus 6;
+        # valid ell is even and >= 14, so ell/2 >= 7 and 6 never arises
+        if ell // 2 in _D4_ACHIEVABLE:
             return Expectation(
                 UNDECIDABLE, None, quote + " (this ℓ is exempt, no claim made)"
             )
