@@ -8,8 +8,15 @@ determinants: any scalar c relating two products P = c*Q of such matrices
 satisfies c^dim = det(P)/det(Q), a root of unity, so c is itself a root of
 unity lying in Q(zeta_n), hence a power of zeta_n once n is even.
 
-Arithmetic is plain int64 with overflow guards, so Completed and Exceeded
-outcomes are fully trusted.
+The canonical form is the lexicographic minimum of the flattened orbit, and
+the first nonzero entry e of M alone fixes it: every orbit element has its
+first nonzero entry in the same place, and for e != 0 the n values zeta^k * e
+are pairwise distinct (zeta^j * e = zeta^k * e forces zeta^(j-k) = 1).  So
+exactly one k minimizes the coordinates of zeta^k * e, and the form is unique.
+
+A product with a generator is one integer matmul against the generator's
+table of right multiplication.  Arithmetic is plain int64 with overflow
+guards, so Completed and Exceeded outcomes are fully trusted.
 
 Everything here is an internal accelerator.  grouporacle falls back to the
 exact CycMatrix engine when Unsuitable is raised; completed outcomes always
@@ -52,62 +59,47 @@ def _tensor(mat: CycMatrix, phi: int) -> np.ndarray:
 class _Engine:
     def __init__(self, conductor: int, dim: int) -> None:
         ctx = _ctx(conductor)
-        self.n = conductor
         self.dim = dim
         self.phi = phi = ctx.phi
-        # reduction rows: coords of zeta^m for m = 0 .. 2*phi-2
-        self.red = np.array(ctx.powrows[: 2 * phi - 1], dtype=np.int64)
         # scalar orbit: scal[k][i] = coords of zeta^(k+i)
         self.scal = np.array(
             [ctx.powrows[k : k + phi] for k in range(conductor)], dtype=np.int64
         )
-        self.red_max = int(np.abs(self.red).max())
         self.scal_max = int(np.abs(self.scal).max())
-        # primary lex key of the scalar action, for cheap orbit preselection
-        self.scal0 = np.ascontiguousarray(self.scal[:, :, 0])
+        # scal_cols[i][j, k] = coordinate i of zeta^(k+j)
+        self.scal_cols = np.ascontiguousarray(self.scal.transpose(2, 1, 0))
 
-    def canonical_batch(self, mats: np.ndarray) -> list[tuple[np.ndarray, bytes]]:
-        """Orbit-minimal form and hash key for each matrix in the batch.
-
-        The lexicographic minimum is found by comparing only the first
-        coordinate of entry (0,0) across the orbit, falling back to full
-        orbit rows for the (rare) ties.
-        """
+    def canonical_batch(self, mats: np.ndarray) -> np.ndarray:
+        """Orbit-minimal form of each matrix in the batch."""
         if int(np.abs(mats).max(initial=0)) * self.scal_max * self.phi >= _LIMIT:
             raise Unsuitable("scalar orbit would overflow")
-        firsts = mats[:, 0, 0, :] @ self.scal0.T
-        out = []
-        for f in range(len(mats)):
-            row = firsts[f]
-            ties = np.flatnonzero(row == row.min())
-            if len(ties) == 1:
-                k = int(ties[0])
-                canon = mats[f] @ self.scal[k]
-            else:
-                orbit = np.einsum("abe,kei->kabi", mats[f], self.scal[ties])
-                flat = orbit.reshape(len(ties), -1)
-                canon = orbit[np.lexsort(flat.T[::-1])[0]]
-            out.append((canon, canon.tobytes()))
-        return out
+        flat = mats.reshape(len(mats), -1, self.phi)
+        lead = flat[np.arange(len(mats)), flat.any(axis=2).argmax(axis=1)]
+        # narrow the k with minimal zeta^k * lead one coordinate at a time;
+        # the guard keeps every candidate value below _LIMIT
+        cand = np.ones((len(mats), len(self.scal)), dtype=bool)
+        for cols in self.scal_cols:
+            vals = np.where(cand, lead @ cols, _LIMIT)
+            cand = vals == vals.min(axis=1, keepdims=True)
+            if cand.sum(axis=1).max() == 1:
+                break
+        return (flat @ self.scal[cand.argmax(axis=1)]).reshape(mats.shape)
 
-    def canonical(self, mat: np.ndarray) -> tuple[np.ndarray, bytes]:
-        return self.canonical_batch(mat[None])[0]
-
-    def expanded(self, gen: np.ndarray) -> np.ndarray:
-        """Pre-spread generator for single-pass convolution contraction."""
+    def table(self, gen: np.ndarray) -> tuple[np.ndarray, int]:
+        """Right multiplication by gen as one (d*phi) x (d*phi) matrix: the
+        entry at row (c, p), column (b, i) is coordinate i of zeta^p * gen[c, b]."""
         d, phi = self.dim, self.phi
-        out = np.zeros((d, phi, d, 2 * phi - 1), dtype=np.int64)
-        for p in range(phi):
-            out[:, p, :, p : p + phi] = gen
-        return out
+        if int(np.abs(gen).max(initial=0)) * self.scal_max * phi >= _LIMIT:
+            raise Unsuitable("multiplication table would overflow")
+        table = np.einsum("cbj,pji->cpbi", gen, self.scal[:phi])
+        table = table.reshape(d * phi, d * phi)
+        return table, int(np.abs(table).max(initial=0))
 
-    def multiply(self, batch: np.ndarray, gen3: np.ndarray, gen_max: int) -> np.ndarray:
-        batch_max = int(np.abs(batch).max(initial=0))
-        stage1 = batch_max * gen_max * self.dim * self.phi
-        if stage1 >= _LIMIT or stage1 * (2 * self.phi - 1) * self.red_max >= _LIMIT:
+    def multiply(self, batch: np.ndarray, table: np.ndarray, table_max: int) -> np.ndarray:
+        d, phi = self.dim, self.phi
+        if int(np.abs(batch).max(initial=0)) * table_max * d * phi >= _LIMIT:
             raise Unsuitable("product would overflow")
-        conv = np.einsum("facp,cpbm->fabm", batch, gen3)
-        return np.tensordot(conv, self.red, axes=([3], [0]))
+        return (batch.reshape(-1, d, d * phi) @ table).reshape(batch.shape)
 
 
 def run(generators: list[CycMatrix], bound: int) -> tuple[bool, int, dict]:
@@ -126,41 +118,39 @@ def run(generators: list[CycMatrix], bound: int) -> tuple[bool, int, dict]:
             raise Unsuitable("generator determinant is not a root of unity")
     eng = _Engine(n, mats[0].dim)
 
-    raw = []
-    for m in mats:
-        raw.append(_tensor(m, eng.phi))
-        raw.append(_tensor(m.inv(), eng.phi))
-    gens: list[np.ndarray] = []
+    raw = np.stack([_tensor(h, eng.phi) for m in mats for h in (m, m.inv())])
+    tables = []
     seen_gen: set[bytes] = set()
-    for t in raw:
-        _, key = eng.canonical(t)
+    for t, canon in zip(raw, eng.canonical_batch(raw)):
+        key = canon.tobytes()
         if key not in seen_gen:
             seen_gen.add(key)
-            gens.append(t)
-    gen3 = [(eng.expanded(g), int(np.abs(g).max(initial=0))) for g in gens]
+            tables.append(eng.table(t))
 
-    ident = np.zeros((eng.dim, eng.dim, eng.phi), dtype=np.int64)
-    for a in range(eng.dim):
-        ident[a, a, 0] = 1
-    start, start_key = eng.canonical(ident)
-    visited: set[bytes] = {start_key}
-    frontier = [start]
+    ident = np.zeros((1, eng.dim, eng.dim, eng.phi), dtype=np.int64)
+    ident[0, :, :, 0] = np.eye(eng.dim, dtype=np.int64)
+    frontier = eng.canonical_batch(ident)
+    visited: set[bytes] = {frontier.tobytes()}
     products = 0
     peak = 1
-    while frontier:
-        batch = np.stack(frontier)
+    while len(frontier):
         fresh: list[np.ndarray] = []
-        for g3, gmax in gen3:
-            prods = eng.multiply(batch, g3, gmax)
+        for table, table_max in tables:
+            canon = eng.canonical_batch(eng.multiply(frontier, table, table_max))
             products += len(frontier)
-            for canon, key in eng.canonical_batch(prods):
+            keys = canon.tobytes()
+            step = len(keys) // len(canon)
+            new = []
+            for i in range(len(canon)):
+                key = keys[i * step : (i + 1) * step]
                 if key not in visited:
                     visited.add(key)
-                    fresh.append(canon)
+                    new.append(i)
+            fresh.append(canon[new])
             if len(visited) > bound:
                 stats = {"products": products, "peak_frontier": peak, "engine": "fast"}
                 return False, len(visited), stats
-        peak = max(peak, len(fresh))
-        frontier = fresh
+        frontier = np.concatenate(fresh)
+        peak = max(peak, len(frontier))
     stats = {"products": products, "peak_frontier": peak, "engine": "fast"}
     return True, len(visited), stats

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -33,6 +34,8 @@ EXIT_EXCEEDED = 3
 
 _SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 _SWEEP_COLUMNS = ("dim", "eigenvalues", "po", "pattern", "rule", "kind")
+# largest sweep, in rows, that `sweep` enumerates
+SWEEP_MAX_ROWS = 100_000
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -198,8 +201,15 @@ def _rows_text(rows: list[dict], fmt: str) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if not 2 <= args.dim <= 5:
+        raise InvalidSpec(f"--dim must be in [2, 5], got {args.dim}")
     if args.max_order < 1:
         raise InvalidSpec(f"--max-order must be >= 1, got {args.max_order}")
+    rows = math.comb(args.max_order - 1, args.dim - 1)
+    if rows > SWEEP_MAX_ROWS:
+        raise InvalidSpec(
+            f"sweep would classify {rows} spectra, over the cap of {SWEEP_MAX_ROWS}"
+        )
     _emit(_rows_text(sweep_rows(args.dim, args.max_order), args.format), args.output)
     return EXIT_OK
 

@@ -19,8 +19,6 @@ from .errors import (
     OrderNotDividingConductor,
 )
 
-Rational = Fraction
-
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
@@ -162,22 +160,6 @@ class IntPolynomial:
             raise ValueError("division left a remainder")
         return IntPolynomial(tuple(out))
 
-    def __call__(self, x):
-        """Horner evaluation; works for ints, Fractions and CycNumbers."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"{c}*x^{i}" if i else str(c))
-        return " + ".join(parts)
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
@@ -228,7 +210,7 @@ def _ctx(n: int) -> _Context:
 
 
 def euler_phi(n: int) -> int:
-    return _ctx(n).phi if n <= 256 else cyclotomic_polynomial(n).degree
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 # ---------------------------------------------------------------------------

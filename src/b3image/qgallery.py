@@ -30,22 +30,26 @@ from .verdict import _D4_ACHIEVABLE, FINITE, INFINITE, UNDECIDABLE, Verdict, cla
 
 @dataclass(frozen=True)
 class QGFamily:
-    """One braiding family: template exponents, validity range, builder."""
+    """One braiding family: template exponents, validity range, builder, and
+    the representation choice the builder realizes."""
 
     name: str
     dim: int
     # (k, negative) encodes (+-1) * q^k
     template: tuple[tuple[int, bool], ...]
     builder: Callable | None
+    # defined for ell >= min_divisible when modulus | ell, else for
+    # ell >= min_other (None: never)
+    modulus: int
+    min_divisible: int
+    min_other: int | None
+    # dim-4 gamma^2 and dim-5 gamma, in the template's encoding
+    gamma_squared: tuple[int, bool] | None = None
+    gamma: tuple[int, bool] | None = None
 
     def valid(self, ell: int) -> bool:
-        if self.name == "G2":
-            return ell >= 18 if ell % 3 == 0 else ell >= 10
-        if self.name == "F4":
-            return ell >= 22 if ell % 2 == 0 else ell >= 15
-        if self.name == "SO7spin":
-            return ell % 2 == 0 and ell >= 14
-        return ell % 2 == 0 and ell >= 18
+        least = self.min_divisible if ell % self.modulus == 0 else self.min_other
+        return least is not None and ell >= least
 
     @property
     def has_builder(self) -> bool:
@@ -55,24 +59,45 @@ class QGFamily:
 FAMILIES: dict[str, QGFamily] = {
     f.name: f
     for f in (
-        QGFamily("G2", 4, ((-12, False), (2, False), (-6, True), (0, True)), None),
+        QGFamily(
+            "G2",
+            4,
+            ((-12, False), (2, False), (-6, True), (0, True)),
+            None,
+            modulus=3,
+            min_divisible=18,
+            min_other=10,
+        ),
         QGFamily(
             "F4",
             5,
             ((-24, False), (-12, False), (2, False), (0, True), (-6, True)),
             None,
+            modulus=2,
+            min_divisible=22,
+            min_other=15,
         ),
         QGFamily(
             "SO7spin",
             4,
             ((0, False), (12, False), (6, True), (10, True)),
             build_so7,
+            modulus=2,
+            min_divisible=14,
+            min_other=None,
+            # D = +q^4 in the two-fold representation choice, i.e.
+            # gamma^2 = D * lam_1 * lam_4 = q^4 * 1 * (-q^10) = -q^14
+            gamma_squared=(14, True),
         ),
         QGFamily(
             "SO9spin",
             5,
             ((0, False), (8, False), (14, True), (18, True), (20, False)),
             build_so9,
+            modulus=2,
+            min_divisible=18,
+            min_other=None,
+            gamma=(12, False),
         ),
     )
 }
@@ -95,17 +120,16 @@ def qg_spec(family: QGFamily | str, ell: int) -> EigenSpec:
     if not fam.valid(ell):
         raise OutOfRange(f"{fam.name} is not defined at ell={ell}")
     n = 2 * ell
-    eigs = tuple(
-        RootOfUnity.of(k + (ell if neg else 0), n) for k, neg in fam.template
-    )
-    if fam.name == "SO7spin":
-        # D = +q^4 in the two-fold representation choice, i.e.
-        # gamma^2 = D * lam_1 * lam_4 = q^4 * 1 * (-q^10) = -q^14
-        target = RootOfUnity.of(14 + ell, n)
-        return EigenSpec(4, eigs, d_sign=_sign_for(eigs, target))
-    if fam.name == "SO9spin":
-        return EigenSpec(5, eigs, gamma=RootOfUnity.of(12, n))
-    return EigenSpec(fam.dim, eigs)
+
+    def root(k: int, negative: bool) -> RootOfUnity:
+        return RootOfUnity.of(k + (ell if negative else 0), n)
+
+    eigs = tuple(root(*t) for t in fam.template)
+    d_sign = None
+    if fam.gamma_squared is not None:
+        d_sign = _sign_for(eigs, root(*fam.gamma_squared))
+    gamma = None if fam.gamma is None else root(*fam.gamma)
+    return EigenSpec(fam.dim, eigs, d_sign=d_sign, gamma=gamma)
 
 
 # -- recorded claims ------------------------------------------------------------

@@ -233,14 +233,24 @@ def validate_spec(spec: EigenSpec) -> ValidationReport:
 
 # -- matrix builders ----------------------------------------------------------
 
+# largest conductor a builder accepts: the field tables grow with n * phi(n)
+# and the closure engine's scalar table with n * phi(n)^2
+MAX_CONDUCTOR = 512
+
+
+def _check_conductor(n: int) -> None:
+    if n > MAX_CONDUCTOR:
+        raise InvalidRange(f"conductor {n} exceeds the builder cap of {MAX_CONDUCTOR}")
+
 
 def build_d3(theta: RootOfUnity, phi: RootOfUnity) -> tuple[CycMatrix, CycMatrix]:
     """Triangular pair with diagonals (1, theta, phi) and (phi, theta, 1)."""
     spec = EigenSpec(3, (ONE, theta, phi))
+    n = spec_conductor(spec.eigenvalues)
+    _check_conductor(n)
     report = validate_spec(spec)
     if report.status != VALID:
         raise InvalidSpec(f"spec {{1, {theta}, {phi}}} is {report.status}")
-    n = spec_conductor(spec.eigenvalues)
     t = embed(theta, n)
     f = embed(phi, n)
     ft = embed(phi / theta, n)
@@ -274,6 +284,7 @@ def build_d4_block(u: RootOfUnity, d_sign: int) -> tuple[CycMatrix, CycMatrix]:
     if u.order in (1, 2, 4):
         raise InvalidSpec(f"u must not be a 4th root of unity, got order {u.order}")
     n = spec_conductor((u,))
+    _check_conductor(n)
     uu = embed(u, n)
     d = d_sign
     # with d = +-1: 1/d^2 + 1/d + 1 = 2 + d and d^3 + d^2 + d = 2d + 1
@@ -334,6 +345,7 @@ def build_so7(ell: int, d_sign: int = 1) -> tuple[CycMatrix, CycMatrix]:
     if d_sign != 1:
         raise InvalidSpec("only the D = +q^4 matrices are available")
     n = 2 * ell
+    _check_conductor(n)
     q = _qpow(n)
     a = CycMatrix.from_rows(
         [
@@ -361,6 +373,7 @@ def build_so9(ell: int) -> tuple[CycMatrix, CycMatrix]:
     if ell % 2 != 0 or ell < 18:
         raise InvalidRange(f"ell must be even and >= 18, got {ell}")
     n = 2 * ell
+    _check_conductor(n)
     q = _qpow(n)
     a = CycMatrix.from_rows(
         [

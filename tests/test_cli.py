@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import b3image
+from b3image import cli
 from b3image.cli import (
     EXIT_EXCEEDED,
     EXIT_INPUT_ERROR,
@@ -149,6 +150,12 @@ def test_closure_invalid_level(capsys):
     assert err.startswith("error:")
 
 
+def test_closure_conductor_cap(capsys):
+    code, _, err = run_cli(capsys, "closure", "--builder", "so9", "--ell", "258")
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error:") and "conductor 516" in err
+
+
 # -- qg ------------------------------------------------------------------------
 
 
@@ -242,6 +249,24 @@ def test_sweep_max_order_guard(capsys):
     code, _, err = run_cli(capsys, "sweep", "--dim", "3", "--max-order", "0")
     assert code == EXIT_INPUT_ERROR
     assert "max-order" in err
+
+
+@pytest.mark.parametrize("dim", ["1", "6"])
+def test_sweep_dim_guard(capsys, dim):
+    code, _, err = run_cli(capsys, "sweep", "--dim", dim, "--max-order", "6")
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error:") and "--dim" in err
+
+
+def test_sweep_row_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_MAX_ROWS", 10)
+    # C(5, 2) = 10 rows sit at the cap, C(6, 2) = 15 rows exceed it
+    code, out, _ = run_cli(capsys, "sweep", "--dim", "3", "--max-order", "6")
+    assert code == EXIT_OK
+    assert len(out.strip().splitlines()) == 1 + 10
+    code, _, err = run_cli(capsys, "sweep", "--dim", "3", "--max-order", "7")
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error:") and "15" in err
 
 
 # -- parser level ------------------------------------------------------------------

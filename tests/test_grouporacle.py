@@ -1,11 +1,14 @@
 """Word algebra, projective relation checks, and the closure oracle."""
 
+from itertools import product
+
+import numpy as np
 import pytest
 
 from b3image import _fastclosure, grouporacle
 from b3image.cyclolinalg import CycMatrix
 from b3image.errors import ConductorMismatch, DimensionMismatch, SingularGenerator
-from b3image.exactfield import RootOfUnity
+from b3image.exactfield import RootOfUnity, cyclotomic_polynomial
 from b3image.grouporacle import (
     COMPLETED,
     EXCEEDED,
@@ -14,7 +17,7 @@ from b3image.grouporacle import (
     element_projective_order,
     projective_closure,
 )
-from b3image.repforms import build_d3, build_d4_block, build_so7
+from b3image.repforms import build_d3, build_d4_block, build_so7, build_so9
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -179,3 +182,71 @@ def test_fast_engine_overflow_falls_back_to_exact():
     result = projective_closure(gens, 100)
     assert result.outcome == COMPLETED and result.order == 6
     assert result.stats["engine"] == "exact"
+
+
+def _brute_orbit(mat, n):
+    """The n tensors zeta^k * mat, k = 0 .. n-1, by repeated multiplication
+    with the companion matrix of the n-th cyclotomic polynomial."""
+    coeffs = cyclotomic_polynomial(n).coeffs
+    phi = len(coeffs) - 1
+    zeta = np.eye(phi, k=1, dtype=np.int64)
+    zeta[-1] = [-c for c in coeffs[:-1]]
+    orbit = [mat]
+    for _ in range(n - 1):
+        orbit.append(orbit[-1] @ zeta)
+    return orbit
+
+
+def _brute_canonical(mat, n):
+    """Lexicographic minimum of the flattened scalar orbit of mat."""
+    orbit = _brute_orbit(mat, n)
+    flat = np.stack(orbit).reshape(n, -1)
+    return orbit[np.lexsort(flat.T[::-1])[0]]
+
+
+def _tensors_and_products(gens):
+    """Tensors of the generators, their inverses and all pairwise products."""
+    mats = [h for g in gens for h in (g, g.inv())]
+    mats += [x * y for x, y in product(mats, repeat=2)]
+    phi = len(cyclotomic_polynomial(gens[0].conductor).coeffs) - 1
+    return np.stack([_fastclosure._tensor(m, phi) for m in mats])
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        build_so7(14),
+        build_d3(RootOfUnity.of(1, 9), RootOfUnity.of(4, 9)),
+        build_so9(22),
+    ],
+    ids=["so7(14)", "d3(1/9,4/9)", "so9(22)"],
+)
+def test_fast_canonical_form_is_the_orbit_minimum(gens):
+    n, dim = gens[0].conductor, gens[0].dim
+    eng = _fastclosure._Engine(n, dim)
+    mats = _tensors_and_products(gens)
+    # integer tensors whose leading entries are zero, down to a single
+    # nonzero entry in the last place
+    rng = np.random.default_rng(n)
+    zeroed = rng.integers(-3, 4, size=(dim * dim, dim, dim, eng.phi))
+    for z, m in enumerate(zeroed):
+        m.reshape(dim * dim, eng.phi)[:z] = 0
+        m[-1, -1, 0] = 1
+    for mat in np.concatenate([mats, zeroed]):
+        orbit = _brute_orbit(mat, n)
+        want = _brute_canonical(mat, n)
+        got = eng.canonical_batch(np.stack(orbit))
+        for form in got:
+            assert np.array_equal(form, want)
+
+
+def test_fast_multiply_matches_exact_product():
+    gens = build_so7(14)
+    n, dim = gens[0].conductor, gens[0].dim
+    eng = _fastclosure._Engine(n, dim)
+    assert eng.phi > 1
+    mats = [h for g in gens for h in (g, g.inv())]
+    for x, y in product(mats, repeat=2):
+        table, table_max = eng.table(_fastclosure._tensor(y, eng.phi))
+        got = eng.multiply(_fastclosure._tensor(x, eng.phi)[None], table, table_max)
+        assert np.array_equal(got[0], _fastclosure._tensor(x * y, eng.phi))

@@ -105,6 +105,15 @@ def test_so9_at_18_has_repeated_eigenvalues():
     assert exponents(spec).count(Fraction(0)) == 2
 
 
+# every level in 1..60 at which each family is defined
+VALID_LEVELS = {
+    "G2": set(range(10, 61)) - {12, 15},
+    "F4": {15, 17, 19, 21} | set(range(22, 61)),
+    "SO7spin": set(range(14, 61, 2)),
+    "SO9spin": set(range(18, 61, 2)),
+}
+
+
 def test_validity_ranges():
     valid = [("G2", 10), ("G2", 18), ("G2", 11), ("F4", 22), ("F4", 15),
              ("SO7spin", 14), ("SO9spin", 18)]
@@ -117,6 +126,15 @@ def test_validity_ranges():
             qg_spec(name, ell)
     with pytest.raises(OutOfRange):
         expectation("SO7spin", 13)
+    assert set(VALID_LEVELS) == set(FAMILIES)
+    for name, levels in VALID_LEVELS.items():
+        for ell in range(1, 61):
+            assert FAMILIES[name].valid(ell) == (ell in levels), (name, ell)
+            if ell in levels:
+                assert qg_spec(name, ell).dim == FAMILIES[name].dim
+            else:
+                with pytest.raises(OutOfRange):
+                    qg_spec(name, ell)
 
 
 def test_projective_orders_by_level():

@@ -304,6 +304,14 @@ def test_so9_range_guard():
         build_so9(19)
 
 
+def test_builders_cap_the_conductor():
+    # conductor lcm(2, 257, 3) = 1542 and 2 * 258 = 516, both over the cap of 512
+    with pytest.raises(InvalidRange, match="conductor"):
+        build_d3(RootOfUnity.of(1, 257), RootOfUnity.of(1, 3))
+    with pytest.raises(InvalidRange, match="conductor"):
+        build_so9(258)
+
+
 def test_so7_14_scalar_powers():
     a, b = build_so7(14)
     assert (a**7).is_scalar()
