@@ -7,7 +7,8 @@ row, and `sweep` classifies every normalized spectrum up to a given eigenvalue
 order and writes the table.
 
 Exit codes: 0 = result produced, 2 = input error, 3 = a closure exceeded its
-bound (the partial result is still printed).
+bound (the partial result is still printed), 4 = internal error (a case the
+decision table proves unreachable was reached).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import B3ImageError, InvalidSpec, MissingParam
+from .errors import B3ImageError, InternalInconsistency, InvalidSpec, MissingParam
 from .exactfield import RootOfUnity
 from .grouporacle import COMPLETED, DEFAULT_BOUND, projective_closure
 from .qgallery import FAMILIES, reproduce
@@ -31,6 +32,7 @@ from .verdict import classify, projective_order_of_spec
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_EXCEEDED = 3
+EXIT_INTERNAL = 4
 
 _SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 _SWEEP_COLUMNS = ("dim", "eigenvalues", "po", "pattern", "rule", "kind")
@@ -293,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except (B3ImageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -38,10 +38,6 @@ class CycPolynomial:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def constant(cls, value: Entry, conductor: int) -> CycPolynomial:
-        return cls(conductor, (_entry(value, conductor),))
-
-    @classmethod
     def from_roots(cls, roots: Sequence[RootOfUnity], conductor: int) -> CycPolynomial:
         """The monic polynomial prod (t - root)."""
         poly = cls(conductor, (CycNumber.one(conductor),))

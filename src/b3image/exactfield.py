@@ -109,68 +109,39 @@ def roots_sum_to_zero(roots: Sequence[RootOfUnity]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials and cyclotomic polynomials
+# cyclotomic polynomials as coefficient tuples, lowest degree first
 
 
-@dataclass(frozen=True, slots=True)
-class IntPolynomial:
-    """Dense integer polynomial, lowest-degree coefficient first."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c = tuple(self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPolynomial(tuple(out))
-
-    def divide_exact(self, divisor: IntPolynomial) -> IntPolynomial:
-        """Quotient self / divisor, requiring a monic divisor and zero remainder."""
-        if not divisor.is_monic():
-            raise ValueError("exact division needs a monic divisor")
-        rem = list(self.coeffs)
-        dco = divisor.coeffs
-        dd = divisor.degree
-        out = [0] * max(len(rem) - dd, 0)
-        for top in range(len(rem) - 1, dd - 1, -1):
-            c = rem[top]
-            if c:
-                out[top - dd] = c
-                for k, dk in enumerate(dco):
-                    rem[top - dd + k] -= c * dk
-        if any(rem):
-            raise ValueError("division left a remainder")
-        return IntPolynomial(tuple(out))
+def _divide_exact(num: Sequence[int], divisor: Sequence[int]) -> tuple[int, ...]:
+    """Quotient num / divisor, requiring a monic divisor and zero remainder."""
+    if not divisor or divisor[-1] != 1:
+        raise ValueError("exact division needs a monic divisor")
+    rem = list(num)
+    dd = len(divisor) - 1
+    out = [0] * max(len(rem) - dd, 0)
+    for top in range(len(rem) - 1, dd - 1, -1):
+        c = rem[top]
+        if c:
+            out[top - dd] = c
+            for k, dk in enumerate(divisor):
+                rem[top - dd + k] -= c * dk
+    if any(rem):
+        raise ValueError("division left a remainder")
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, lowest degree first.
+
+    Computed by dividing x^n - 1 exactly by Phi_d for each proper divisor d.
+    """
     if n < 1:
         raise ValueError("conductor must be positive")
-    xn_minus_1 = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
-    quot = xn_minus_1
+    quot = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            quot = quot.divide_exact(cyclotomic_polynomial(d))
+            quot = _divide_exact(quot, cyclotomic_polynomial(d))
     return quot
 
 
@@ -181,16 +152,15 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
 class _Context:
     """Precomputed reduction data for one conductor."""
 
-    __slots__ = ("n", "phi", "minpoly", "powrows", "rootmap")
+    __slots__ = ("n", "phi", "powrows", "rootmap")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        mp = cyclotomic_polynomial(n)
-        phi = mp.degree
+        coeffs = cyclotomic_polynomial(n)
+        phi = len(coeffs) - 1
         self.phi = phi
-        self.minpoly = mp.coeffs
         # powrows[j] = coordinates of zeta^j, for j up to every index reduction needs
-        low = tuple(-c for c in mp.coeffs[:phi])
+        low = tuple(-c for c in coeffs[:phi])
         rows: list[tuple[int, ...]] = []
         row = [1] + [0] * (phi - 1)
         for _ in range(n + 2 * phi):
@@ -391,15 +361,7 @@ class CycNumber:
         n = self.conductor
         if math.gcd(a, n) != 1:
             raise NotCoprime(f"galois exponent {a} not coprime to conductor {n}")
-        ctx = _ctx(n)
-        acc = [0] * ctx.phi
-        for i, v in enumerate(self.num):
-            if v:
-                row = ctx.powrows[(a * i) % n]
-                for p in range(ctx.phi):
-                    acc[p] += v * row[p]
-        nn, dd = _normalize(acc, self.den)
-        return CycNumber(n, nn, dd)
+        return self._substitute(n, a)
 
     def lift(self, conductor: int) -> CycNumber:
         """Re-express over a larger conductor; the old one must divide the new."""
@@ -409,12 +371,15 @@ class CycNumber:
             raise ConductorMismatch(
                 f"cannot lift conductor {self.conductor} into {conductor}"
             )
+        return self._substitute(conductor, conductor // self.conductor)
+
+    def _substitute(self, conductor: int, k: int) -> CycNumber:
+        """Map zeta to zeta_conductor^k, reading powers from the target's powrows."""
         ctx = _ctx(conductor)
-        step = conductor // self.conductor
         acc = [0] * ctx.phi
         for i, v in enumerate(self.num):
             if v:
-                row = ctx.powrows[(i * step) % conductor]
+                row = ctx.powrows[(k * i) % conductor]
                 for p in range(ctx.phi):
                     acc[p] += v * row[p]
         nn, dd = _normalize(acc, self.den)

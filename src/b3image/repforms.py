@@ -273,16 +273,21 @@ def build_d3(theta: RootOfUnity, phi: RootOfUnity) -> tuple[CycMatrix, CycMatrix
     return a, b
 
 
+def _check_block_params(u: RootOfUnity, d_sign: int) -> None:
+    """Reject a sign other than +-1 and a u that is a 4th root of unity."""
+    if d_sign not in (1, -1):
+        raise InvalidSpec(f"d_sign must be +1 or -1, got {d_sign}")
+    if u.order in (1, 2, 4):
+        raise InvalidSpec(f"u must not be a 4th root of unity, got order {u.order}")
+
+
 def build_d4_block(u: RootOfUnity, d_sign: int) -> tuple[CycMatrix, CycMatrix]:
     """The block-imprimitive dim-4 pair with diagonal (1, -1, u, -u).
 
     d_sign is the literal D = +-1 substituted into the entries.  u must not
     be a 4th root of unity (else the spectrum {1, -1, u, -u} degenerates).
     """
-    if d_sign not in (1, -1):
-        raise InvalidSpec(f"d_sign must be +1 or -1, got {d_sign}")
-    if u.order in (1, 2, 4):
-        raise InvalidSpec(f"u must not be a 4th root of unity, got order {u.order}")
+    _check_block_params(u, d_sign)
     n = spec_conductor((u,))
     _check_conductor(n)
     uu = embed(u, n)
@@ -316,10 +321,7 @@ def block_spec(u: RootOfUnity, d_sign: int) -> EigenSpec:
     in the builder's eigenvalue order; the stored sign re-encodes that value
     against the canonical square root of the determinant.
     """
-    if d_sign not in (1, -1):
-        raise InvalidSpec(f"d_sign must be +1 or -1, got {d_sign}")
-    if u.order in (1, 2, 4):
-        raise InvalidSpec(f"u must not be a 4th root of unity, got order {u.order}")
+    _check_block_params(u, d_sign)
     eigs = (ONE, MINUS_ONE, u, -u)
     target = -u if d_sign == 1 else u
     return EigenSpec(4, eigs, d_sign=_sign_for(eigs, target))

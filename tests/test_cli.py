@@ -15,10 +15,12 @@ from b3image import cli
 from b3image.cli import (
     EXIT_EXCEEDED,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL,
     EXIT_OK,
     main,
     sweep_rows,
 )
+from b3image.errors import InternalInconsistency
 from b3image.verdict import Verdict
 
 GAP_ORDERS = {6, 7, 8, 9, 10, 12, 15, 20, 24}
@@ -103,6 +105,18 @@ def test_classify_output_file(capsys, tmp_path):
     text = target.read_text()
     assert text.endswith("\n")
     assert json.loads(text)["kind"] == "Infinite"
+
+
+def test_internal_inconsistency_has_its_own_exit_code(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise InternalInconsistency("po=7 exponent triple outside both parity orbits")
+
+    monkeypatch.setattr(cli, "classify", unreachable)
+    code, out, err = run_cli(capsys, "classify", "--dim", "3", "--eig", "0/1,1/7,5/7")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.startswith("internal error: po=7 exponent triple")
+    assert "Traceback" not in err
 
 
 # -- closure -----------------------------------------------------------------

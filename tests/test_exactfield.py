@@ -3,6 +3,7 @@ evaluation oracle.  The library itself never goes through floats; only these
 tests do."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from b3image.exactfield import (
     MINUS_ONE,
     ONE,
     CycNumber,
-    IntPolynomial,
     RootOfUnity,
+    _divide_exact,
     cyclotomic_polynomial,
     embed,
     euler_phi,
@@ -126,11 +127,11 @@ def test_cyclotomic_polynomial_against_sympy():
     for n in list(range(1, 31)) + [36, 48, 105]:
         ours = cyclotomic_polynomial(n)
         theirs = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()
-        assert list(ours.coeffs) == list(reversed(theirs))
+        assert list(ours) == list(reversed(theirs))
 
 
 def test_phi_12_frozen():
-    assert cyclotomic_polynomial(12).coeffs == (1, 0, -1, 0, 1)
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
 def test_euler_phi_against_sympy():
@@ -138,10 +139,13 @@ def test_euler_phi_against_sympy():
         assert euler_phi(n) == sympy.totient(n)
 
 
-def test_intpolynomial_divide_exact():
-    t_minus_1 = IntPolynomial((-1, 1))
-    prod = t_minus_1 * cyclotomic_polynomial(6)
-    assert prod.divide_exact(t_minus_1).coeffs == cyclotomic_polynomial(6).coeffs
+def test_divide_exact():
+    # (t - 1) * Phi_6 = (t - 1)(t^2 - t + 1) = t^3 - 2t^2 + 2t - 1
+    assert _divide_exact((-1, 2, -2, 1), (-1, 1)) == cyclotomic_polynomial(6)
+    with pytest.raises(ValueError, match="remainder"):
+        _divide_exact((0, 2, -2, 1), (-1, 1))
+    with pytest.raises(ValueError, match="monic"):
+        _divide_exact((-1, 2, -2, 1), (-1, 2))
 
 
 # -- CycNumber ------------------------------------------------------------------------
@@ -230,6 +234,30 @@ def test_galois_is_ring_automorphism():
 def test_galois_permutes_roots():
     z = embed(RootOfUnity.of(1, 7), 7)
     assert z.galois(3) == z**3
+
+
+def lift_cases():
+    """(x over conductor n, m with n | m, a coprime to m)."""
+    pairs = [
+        (n, m) for m in (4, 6, 12, 15, 20, 24) for n in range(1, m + 1) if m % n == 0
+    ]
+    return st.sampled_from(pairs).flatmap(
+        lambda nm: st.tuples(numbers(nm[0]), st.just(nm[1]), units(nm[1]))
+    )
+
+
+def units(m: int):
+    """Exponents in [-m, 2m) coprime to m, so negative and unreduced ones occur."""
+    return st.sampled_from([a for a in range(-m, 2 * m) if math.gcd(a, m) == 1])
+
+
+@given(lift_cases())
+@settings(max_examples=150)
+def test_lift_commutes_with_galois(case):
+    # lift and galois share one substitution loop; check its two entry points
+    # against each other
+    x, m, a = case
+    assert x.lift(m).galois(a) == x.galois(a % x.conductor).lift(m)
 
 
 def test_lift_preserves_value():

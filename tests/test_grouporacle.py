@@ -187,7 +187,7 @@ def test_fast_engine_overflow_falls_back_to_exact():
 def _brute_orbit(mat, n):
     """The n tensors zeta^k * mat, k = 0 .. n-1, by repeated multiplication
     with the companion matrix of the n-th cyclotomic polynomial."""
-    coeffs = cyclotomic_polynomial(n).coeffs
+    coeffs = cyclotomic_polynomial(n)
     phi = len(coeffs) - 1
     zeta = np.eye(phi, k=1, dtype=np.int64)
     zeta[-1] = [-c for c in coeffs[:-1]]
@@ -208,7 +208,7 @@ def _tensors_and_products(gens):
     """Tensors of the generators, their inverses and all pairwise products."""
     mats = [h for g in gens for h in (g, g.inv())]
     mats += [x * y for x, y in product(mats, repeat=2)]
-    phi = len(cyclotomic_polynomial(gens[0].conductor).coeffs) - 1
+    phi = len(cyclotomic_polynomial(gens[0].conductor)) - 1
     return np.stack([_fastclosure._tensor(m, phi) for m in mats])
 
 
