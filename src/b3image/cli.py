@@ -99,14 +99,34 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- closure ---------------------------------------------------------------------
 
 
+# the parameter flags each builder reads; a builder rejects the others
+_BUILDER_PARAMS = {
+    "d3": ("theta", "phi"),
+    "d4block": ("u", "d_sign"),
+    "so7": ("ell", "d_sign"),
+    "so9": ("ell",),
+}
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + n.replace("_", "-") for n in names)
+
+
 def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise MissingParam(f"--builder {args.builder} needs {flags}")
+        raise MissingParam(f"--builder {args.builder} needs {_flags(missing)}")
 
 
 def _closure_generators(args: argparse.Namespace):
+    taken = _BUILDER_PARAMS[args.builder]
+    unused = [
+        n
+        for n in ("theta", "phi", "u", "d_sign", "ell")
+        if n not in taken and getattr(args, n) is not None
+    ]
+    if unused:
+        raise InvalidSpec(f"--builder {args.builder} does not take {_flags(unused)}")
     if args.builder == "d3":
         _require(args, "theta", "phi")
         return build_d3(RootOfUnity.parse(args.theta), RootOfUnity.parse(args.phi))

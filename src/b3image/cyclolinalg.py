@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     ConductorMismatch,
@@ -289,8 +289,8 @@ class CycMatrix:
             raise ZeroMatrix("zero matrix has no projective representative")
         return self.scale(lead.inv())
 
-    def primitive_part(self) -> CycMatrix:
-        """Divide out the rational content; projectively the same element."""
+    def _content(self) -> Fraction:
+        """The rational f that makes f * self integral with coprime coordinates."""
         dens = set()
         g = 0
         for row in self.rows:
@@ -301,20 +301,56 @@ class CycMatrix:
                         g = math.gcd(g, c)
         if g == 0:
             raise ZeroMatrix("zero matrix has no primitive part")
-        f = Fraction(math.lcm(*dens), g)
+        return Fraction(math.lcm(*dens), g)
+
+    def primitive_part(self) -> CycMatrix:
+        """Divide out the rational content; projectively the same element."""
+        f = self._content()
         return self.scale(f) if f != 1 else self
 
+    def _scaled_powers(self, bound: int) -> Iterator[tuple[int, CycMatrix, Fraction]]:
+        """(t, P, s) for t = 1..bound, where P = s * self**t is primitive."""
+        power, scale = self, Fraction(1)
+        for t in range(1, bound + 1):
+            yield t, power, scale
+            if t < bound:
+                # content growth is scalar, so stripping it is projectively safe
+                power = power * self
+                f = power._content()
+                if f != 1:
+                    power = power.scale(f)
+                    scale *= f
+
     def projective_order(self, bound: int) -> int | None:
-        """Least t <= bound with self**t scalar, or None when the bound is passed."""
+        """Least t <= bound with self**t scalar, or None when there is none.
+
+        Each power P = s * self**t (s rational, the content stripped so far)
+        is checked for a scalar first, then against a trace bound that
+        proves infinite order.  Suppose det(self) is a root of unity and some
+        power self**k = c*I.  Then c**dim is a root of unity, so every
+        eigenvalue of self is one too.  Every Galois conjugate of tr(P) is
+        then s times a sum of dim roots of unity, of absolute value at most
+        |s|*dim.  Complex conjugation commutes with the Galois group of
+        Q(zeta_n), so the field trace of tr(P) * conj(tr(P)) is the sum of
+        the squared absolute values of those conjugates, at most
+        phi(n) * dim**2 * s**2.  A power that breaks this bound therefore
+        proves that no power of self is scalar, and the answer is None at
+        every bound.  The determinant is computed only when the bound first
+        breaks; if it is not a root of unity the test is switched off and
+        the powers run on to the bound.
+        """
         if bound < 1:
             raise ValueError("bound must be at least 1")
         self.inv()  # raises SingularMatrix up front
-        power = self
-        for t in range(1, bound + 1):
+        det_is_root: bool | None = None  # unknown until the bound first breaks
+        for t, power, scale in self._scaled_powers(bound):
             if power.is_scalar():
                 return t
-            # content growth is scalar, so stripping it is projectively safe
-            power = (power * self).primitive_part()
+            if det_is_root is not False and _breaks_trace_bound(power, scale):
+                if det_is_root is None:
+                    det_is_root = self.det().as_root_of_unity() is not None
+                if det_is_root:
+                    return None
         return None
 
     # -- serialization ----------------------------------------------------------
@@ -340,6 +376,17 @@ def _dot(row: Sequence[CycNumber], col: Sequence[CycNumber], conductor: int) -> 
         if not (a.is_zero() or b.is_zero()):
             acc = acc + a * b
     return acc
+
+
+def _breaks_trace_bound(power: CycMatrix, scale: Fraction) -> bool:
+    """Tr(x * conj(x)) > phi(n) * dim**2 * scale**2 for x = tr(power).
+
+    See `CycMatrix.projective_order` for why this proves infinite order when
+    power = scale * M**t and det(M) is a root of unity.
+    """
+    x = power.trace()
+    phi = len(x.num)
+    return (x * x.galois(-1)).field_trace() > phi * power.dim**2 * scale**2
 
 
 def _perm_sign(perm: Sequence[int]) -> int:

@@ -179,6 +179,20 @@ def _ctx(n: int) -> _Context:
     return _Context(n)
 
 
+@lru_cache(maxsize=None)
+def _trace_row(n: int) -> tuple[int, ...]:
+    """Tr(zeta^i) over Q for i < phi(n): the sum over units a of zeta^(a*i).
+
+    That sum is rational, so it equals its own first coordinate, and the
+    first coordinates of the zeta^(a*i) add up to it.
+    """
+    ctx = _ctx(n)
+    units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+    return tuple(
+        sum(ctx.powrows[(a * i) % n][0] for a in units) for i in range(ctx.phi)
+    )
+
+
 def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
@@ -273,6 +287,11 @@ class CycNumber:
         if k is None:
             return None
         return RootOfUnity(Fraction(k, self.conductor))
+
+    def field_trace(self) -> Fraction:
+        """Tr_{Q(zeta)/Q}: the sum of the phi(conductor) Galois conjugates."""
+        row = _trace_row(self.conductor)
+        return Fraction(sum(v * r for v, r in zip(self.num, row)), self.den)
 
     # -- arithmetic -----------------------------------------------------------
 

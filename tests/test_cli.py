@@ -170,6 +170,25 @@ def test_closure_conductor_cap(capsys):
     assert err.startswith("error:") and "conductor 516" in err
 
 
+def test_closure_rejects_flags_the_builder_does_not_take(capsys):
+    code, out, err = run_cli(
+        capsys, "closure", "--builder", "so9", "--ell", "22", "--d-sign", "-"
+    )
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("error:") and "--d-sign" in err
+    code, out, err = run_cli(
+        capsys,
+        "closure",
+        "--builder", "d3",
+        "--theta", "1/7",
+        "--phi", "3/7",
+        "--u", "1/5",
+        "--ell", "99",
+    )
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("error:") and "--u" in err and "--ell" in err
+
+
 # -- qg ------------------------------------------------------------------------
 
 
@@ -317,12 +336,17 @@ def _console_script_command(tmp_path):
     launcher.write_text(
         f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())\n"
     )
+    return [sys.executable, str(launcher)], _package_env()
+
+
+def _package_env() -> dict:
+    """This process's environment with the package under test on PYTHONPATH."""
     package_root = str(Path(b3image.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")])
     )
-    return [sys.executable, str(launcher)], env
+    return env
 
 
 def test_console_script_installed(tmp_path):
@@ -337,6 +361,25 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "Finite" in proc.stdout
     # the documented exit-code contract holds at the process boundary
+    proc = run("classify", "--dim", "3", "--eig", "0/1,1/7")
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stderr.startswith("error:")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = _package_env()
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "b3image", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+
+    proc = run("classify", "--dim", "2", "--eig", "0/1,1/4")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Finite" in proc.stdout
     proc = run("classify", "--dim", "3", "--eig", "0/1,1/7")
     assert proc.returncode == EXIT_INPUT_ERROR
     assert proc.stderr.startswith("error:")

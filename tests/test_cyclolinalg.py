@@ -9,9 +9,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b3image.cyclolinalg import CycMatrix, CycPolynomial
+from b3image.cyclolinalg import CycMatrix, CycPolynomial, _breaks_trace_bound
 from b3image.errors import ConductorMismatch, DimensionMismatch, SingularMatrix, ZeroMatrix
 from b3image.exactfield import CycNumber, RootOfUnity, embed, euler_phi
+from b3image.grouporacle import Word
+from b3image.repforms import build_d3, build_d4_block, build_so7, build_so9
 
 
 def to_complex(m: CycMatrix):
@@ -174,6 +176,85 @@ def test_projective_order_respects_scaling():
     m = CycMatrix.from_rows([[0, 1], [1, 1]], 12)
     z = embed(RootOfUnity.of(1, 12), 12)
     assert m.projective_order(100) == m.scale(z).projective_order(100)
+
+
+# -- the trace certificate of infinite order ---------------------------------------------
+
+
+def _certified(m: CycMatrix, bound: int) -> bool:
+    return any(_breaks_trace_bound(p, s) for _, p, s in m._scaled_powers(bound))
+
+
+def test_trace_certificate_needs_a_root_of_unity_determinant():
+    # M = diag(2, 2*zeta_6) breaks the trace bound at once, but M^6 = 64*I:
+    # det M = 4*zeta_6 is no root of unity, so the certificate must not fire
+    m = CycMatrix.diagonal([2, embed(RootOfUnity.of(1, 6), 6) * 2], 6)
+    assert _breaks_trace_bound(m, Fraction(1))
+    assert m.det().as_root_of_unity() is None
+    assert m.projective_order(10) == 6
+
+
+def test_trace_bound_scales_with_the_stripped_content():
+    # M has order 3 (char poly t^2 + t + 1).  M^2 has denominator 3, so the
+    # loop keeps P = 3*M^2, whose trace -3 passes only against 3^2 times the
+    # bound; M^3 = I, so the factor comes off again
+    m = CycMatrix.from_rows([[0, Fraction(-1, 3)], [3, -1]], 1)
+    assert [s for _, _, s in m._scaled_powers(3)] == [1, 3, 1]
+    assert not _certified(m, 3)
+    assert m.projective_order(10) == 3
+
+
+def test_unipotent_never_breaks_the_trace_bound():
+    m = CycMatrix.from_rows([[1, 1], [0, 1]], 1)
+    assert not _certified(m, 50)
+    assert m.projective_order(50) is None
+
+
+def test_block_elements_of_infinite_order_certified_within_four_powers():
+    word = Word.gen(0) * Word.gen(1).inverse()
+    for n in (7, 8, 9, 11):
+        m = word.evaluate(list(build_d4_block(RootOfUnity.of(1, n), -1)))
+        assert m.det().as_root_of_unity() is not None
+        assert _certified(m, 4)
+
+
+def _reduced_word_values(gens: list[CycMatrix], max_len: int):
+    """(word, value) for every reduced word in A^+-1, B^+-1 of length <= max_len."""
+    letters = [
+        ((i, e), g if e == 1 else g.inv()) for i, g in enumerate(gens) for e in (1, -1)
+    ]
+    ident = CycMatrix.identity(gens[0].dim, gens[0].conductor)
+    out = layer = [((), ident)]
+    for _ in range(max_len):
+        layer = [
+            (w + (x,), m * g)
+            for w, m in layer
+            for x, g in letters
+            if not w or w[-1] != (x[0], -x[1])
+        ]
+        out = out + layer
+    return [(Word(w), m) for w, m in out]
+
+
+FINITE_GROUPS = {
+    "so7(14)": (lambda: build_so7(14), 168),
+    "so9(22)": (lambda: build_so9(22), 660),
+    "d3(1/7, 3/7)": (lambda: build_d3(RootOfUnity.of(1, 7), RootOfUnity.of(3, 7)), 168),
+    "d4block(1/6, +1)": (lambda: build_d4_block(RootOfUnity.of(1, 6), 1), 72),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_GROUPS))
+def test_no_trace_certificate_on_finite_groups(name):
+    build, order = FINITE_GROUPS[name]
+    seen = set()
+    for w, m in _reduced_word_values(list(build()), 4):
+        if m in seen:  # e.g. ABA = BAB; equal matrices give equal answers
+            continue
+        seen.add(m)
+        t = m.projective_order(order)
+        assert t is not None and (m**t).is_scalar(), str(w)
+        assert not _certified(m, t), str(w)
 
 
 def test_matrix_hashable_with_exact_equality():

@@ -260,6 +260,35 @@ def test_lift_commutes_with_galois(case):
     assert x.lift(m).galois(a) == x.galois(a % x.conductor).lift(m)
 
 
+# -- field trace ------------------------------------------------------------------------
+
+
+def test_field_trace_of_one_and_zeta():
+    for n in range(1, 61):
+        assert CycNumber.one(n).field_trace() == euler_phi(n)
+        assert embed(RootOfUnity.of(1, n), n).field_trace() == sympy.mobius(n)
+
+
+@given(conductors.flatmap(numbers))
+@settings(max_examples=150)
+def test_field_trace_is_sum_of_galois_conjugates(x):
+    n = x.conductor
+    total = CycNumber.zero(n)
+    for a in range(1, n + 1):
+        if math.gcd(a, n) == 1:
+            total = total + x.galois(a)
+    assert total.is_rational()
+    assert x.field_trace() == total.as_rational()
+
+
+@given(conductors.flatmap(numbers))
+@settings(max_examples=150)
+def test_field_trace_of_norm_square_is_positive(x):
+    # Tr(x * conj(x)) sums |sigma(x)|^2 over the embeddings
+    if not x.is_zero():
+        assert (x * x.galois(-1)).field_trace() > 0
+
+
 def test_lift_preserves_value():
     x = embed(RootOfUnity.of(1, 6), 6) + Fraction(1, 2)
     y = x.lift(24)
