@@ -8,10 +8,9 @@ from .repforms import (
     EigenSpec,
     ValidationReport,
     block_spec,
+    build,
     build_d3,
     build_d4_block,
-    build_so7,
-    build_so9,
     validate_spec,
 )
 from .verdict import (
@@ -35,7 +34,15 @@ from .grouporacle import (
     element_projective_order,
     projective_closure,
 )
-from .qgallery import FAMILIES, ReproductionReport, expectation, qg_spec, reproduce
+from .qgallery import (
+    FAMILIES,
+    ReproductionReport,
+    build_so7,
+    build_so9,
+    expectation,
+    qg_spec,
+    reproduce,
+)
 
 __version__ = "0.1.0"
 
@@ -48,6 +55,7 @@ __all__ = [
     "EigenSpec",
     "ValidationReport",
     "block_spec",
+    "build",
     "build_d3",
     "build_d4_block",
     "build_so7",

@@ -25,8 +25,8 @@ from itertools import combinations
 from .errors import B3ImageError, InternalInconsistency, InvalidSpec, MissingParam
 from .exactfield import RootOfUnity
 from .grouporacle import COMPLETED, DEFAULT_BOUND, projective_closure
-from .qgallery import FAMILIES, reproduce
-from .repforms import EigenSpec, build_d3, build_d4_block, build_so7, build_so9
+from .qgallery import FAMILIES, build_so7, build_so9, reproduce
+from .repforms import EigenSpec, build_d3, build_d4_block
 from .verdict import classify, projective_order_of_spec
 
 EXIT_OK = 0
@@ -103,7 +103,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 _BUILDER_PARAMS = {
     "d3": ("theta", "phi"),
     "d4block": ("u", "d_sign"),
-    "so7": ("ell", "d_sign"),
+    "so7": ("ell",),
     "so9": ("ell",),
 }
 
@@ -133,11 +133,8 @@ def _closure_generators(args: argparse.Namespace):
     if args.builder == "d4block":
         _require(args, "u", "d_sign")
         return build_d4_block(RootOfUnity.parse(args.u), _SIGNS[args.d_sign])
-    if args.builder == "so7":
-        _require(args, "ell")
-        return build_so7(args.ell, _SIGNS[args.d_sign] if args.d_sign else 1)
     _require(args, "ell")
-    return build_so9(args.ell)
+    return build_so7(args.ell) if args.builder == "so7" else build_so9(args.ell)
 
 
 def cmd_closure(args: argparse.Namespace) -> int:

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     ConductorMismatch,
+    InvalidSpec,
     NotCoprime,
     OrderNotDividingConductor,
 )
@@ -43,11 +44,11 @@ class RootOfUnity:
     @classmethod
     def parse(cls, text: str) -> RootOfUnity:
         """Parse 'k/n' (or 'k') as the exponent k/n of e^{2*pi*i*k/n}."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return cls(Fraction(int(num), int(den)))
-        return cls(Fraction(int(text)))
+        num, slash, den = text.strip().partition("/")
+        try:
+            return cls(Fraction(int(num), int(den) if slash else 1))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidSpec(f"malformed exponent {text!r}") from None
 
     @property
     def order(self) -> int:
@@ -446,16 +447,27 @@ def _mul_vec(ctx: _Context, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]
     return out
 
 
-def embed(root: RootOfUnity, conductor: int) -> CycNumber:
-    """The root of unity as an exact element of Q(zeta_conductor)."""
+def root_index(root: RootOfUnity, conductor: int) -> int:
+    """The k in [0, conductor) with root = zeta_conductor^k."""
     n = root.order
     if conductor % n != 0:
         raise OrderNotDividingConductor(
             f"order {n} does not divide conductor {conductor}"
         )
+    return (root.exponent.numerator * (conductor // n)) % conductor
+
+
+def embed(root: RootOfUnity, conductor: int) -> CycNumber:
+    """The root of unity as an exact element of Q(zeta_conductor)."""
+    return CycNumber(conductor, _ctx(conductor).powrows[root_index(root, conductor)], 1)
+
+
+def power_sum(exponents: Iterable[int], conductor: int) -> CycNumber:
+    """The sum of zeta_conductor^k over the integer exponents k, repeats included."""
     ctx = _ctx(conductor)
-    k = (root.exponent.numerator * (conductor // n)) % conductor
-    return CycNumber(conductor, ctx.powrows[k], 1)
+    rows = [ctx.powrows[k % conductor] for k in exponents]
+    num = tuple(map(sum, zip(*rows))) if rows else (0,) * ctx.phi
+    return CycNumber(conductor, num, 1)
 
 
 def spec_conductor(roots: Iterable[RootOfUnity], *extra_orders: int) -> int:

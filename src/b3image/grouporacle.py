@@ -70,10 +70,16 @@ class Word:
             raise ValueError("need at least one generator to evaluate a word")
         first = generators[0]
         result = CycMatrix.identity(first.dim, first.conductor)
+        inverses: dict[int, CycMatrix] = {}  # each generator is inverted at most once
         for idx, exp in self.factors:
             if idx >= len(generators):
                 raise IndexError(f"word uses generator {idx}, only {len(generators)} given")
-            result = result * generators[idx] ** exp
+            g = generators[idx]
+            if exp < 0:
+                if idx not in inverses:
+                    inverses[idx] = g.inv()
+                g, exp = inverses[idx], -exp
+            result = result * g**exp
         return result
 
     def __str__(self) -> str:

@@ -2,20 +2,21 @@
 reproduction reports (classify + closure oracle against recorded claims).
 
 Each family stores its eigenvalue template as exponent formulas in
-q = e^(pi*i/ell), realized over conductor 2*ell: the value (+-1)*q^k becomes
-the exponent (k/(2*ell) + [1/2 if negative]) mod 1.  Eigenvalue sets are
-hardcoded (the Lie-theoretic derivation is out of scope); SO7spin fixes the
-two-fold representation choice D = +q^4 and SO9spin fixes gamma = q^12, both
-of which the builders realize.  The overall scalar is 1 throughout, which is
-harmless because the classification is scaling invariant.
+q = e^(pi*i/ell): the value (+-1)*q^k becomes the exponent
+(k/(2*ell) + [1/2 if negative]) mod 1.  Eigenvalue sets are hardcoded (the
+Lie-theoretic derivation is out of scope); SO7spin fixes the two-fold
+representation choice D = +q^4 and SO9spin fixes gamma = q^12.  For those two
+families `repforms.build` turns the spec into matrices (`build_so7`,
+`build_so9`); G2 and F4 stay spec-only.  The overall scalar is 1 throughout,
+which is harmless because the classification is scaling invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .errors import OutOfRange
+from .cyclolinalg import CycMatrix
+from .errors import InvalidRange, OutOfRange
 from .exactfield import RootOfUnity
 from .grouporacle import (
     COMPLETED,
@@ -24,20 +25,20 @@ from .grouporacle import (
     ClosureResult,
     projective_closure,
 )
-from .repforms import EigenSpec, _sign_for, build_so7, build_so9
+from .repforms import EigenSpec, _sign_for, build
 from .verdict import _D4_ACHIEVABLE, FINITE, INFINITE, UNDECIDABLE, Verdict, classify
 
 
 @dataclass(frozen=True)
 class QGFamily:
-    """One braiding family: template exponents, validity range, builder, and
-    the representation choice the builder realizes."""
+    """One braiding family: template exponents, validity range, whether the
+    reproduction builds matrices, and the representation choice."""
 
     name: str
     dim: int
     # (k, negative) encodes (+-1) * q^k
     template: tuple[tuple[int, bool], ...]
-    builder: Callable | None
+    has_builder: bool
     # defined for ell >= min_divisible when modulus | ell, else for
     # ell >= min_other (None: never)
     modulus: int
@@ -51,10 +52,6 @@ class QGFamily:
         least = self.min_divisible if ell % self.modulus == 0 else self.min_other
         return least is not None and ell >= least
 
-    @property
-    def has_builder(self) -> bool:
-        return self.builder is not None
-
 
 FAMILIES: dict[str, QGFamily] = {
     f.name: f
@@ -63,7 +60,7 @@ FAMILIES: dict[str, QGFamily] = {
             "G2",
             4,
             ((-12, False), (2, False), (-6, True), (0, True)),
-            None,
+            False,
             modulus=3,
             min_divisible=18,
             min_other=10,
@@ -72,7 +69,7 @@ FAMILIES: dict[str, QGFamily] = {
             "F4",
             5,
             ((-24, False), (-12, False), (2, False), (0, True), (-6, True)),
-            None,
+            False,
             modulus=2,
             min_divisible=22,
             min_other=15,
@@ -81,7 +78,7 @@ FAMILIES: dict[str, QGFamily] = {
             "SO7spin",
             4,
             ((0, False), (12, False), (6, True), (10, True)),
-            build_so7,
+            True,
             modulus=2,
             min_divisible=14,
             min_other=None,
@@ -93,7 +90,7 @@ FAMILIES: dict[str, QGFamily] = {
             "SO9spin",
             5,
             ((0, False), (8, False), (14, True), (18, True), (20, False)),
-            build_so9,
+            True,
             modulus=2,
             min_divisible=18,
             min_other=None,
@@ -130,6 +127,20 @@ def qg_spec(family: QGFamily | str, ell: int) -> EigenSpec:
         d_sign = _sign_for(eigs, root(*fam.gamma_squared))
     gamma = None if fam.gamma is None else root(*fam.gamma)
     return EigenSpec(fam.dim, eigs, d_sign=d_sign, gamma=gamma)
+
+
+def build_so7(ell: int) -> tuple[CycMatrix, CycMatrix]:
+    """The 4x4 spin-representation pair at even level ell >= 14 (D = +q^4)."""
+    if ell % 2 != 0 or ell < 14:
+        raise InvalidRange(f"ell must be even and >= 14, got {ell}")
+    return build(qg_spec("SO7spin", ell))
+
+
+def build_so9(ell: int) -> tuple[CycMatrix, CycMatrix]:
+    """The 5x5 spin-representation pair at even level ell >= 18 (gamma = q^12)."""
+    if ell % 2 != 0 or ell < 18:
+        raise InvalidRange(f"ell must be even and >= 18, got {ell}")
+    return build(qg_spec("SO9spin", ell))
 
 
 # -- recorded claims ------------------------------------------------------------
@@ -268,8 +279,8 @@ def reproduce(
     spec = qg_spec(fam, ell)
     verdict = classify(spec)
     closure = None
-    if fam.builder is not None:
-        closure = projective_closure(list(fam.builder(ell)), bound)
+    if fam.has_builder:
+        closure = projective_closure(list(build(spec)), bound)
     want = expectation(fam, ell)
     agreement = (want.kind is None or verdict.kind == want.kind) and _closure_matches(
         want.closure, closure

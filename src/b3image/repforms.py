@@ -2,8 +2,9 @@
 
 An EigenSpec is the classification input: the eigenvalue set of the first
 generator's image plus the discrete choice that pins the representation
-(a sign for dim 4, a fifth root of the determinant for dim 5).  The builders
-construct the concrete triangular matrix pairs in exact cyclotomic arithmetic.
+(a sign for dim 4, a fifth root of the determinant for dim 5).  `build`
+turns a spec into its Tuba-Wenzl triangular matrix pair in exact cyclotomic
+arithmetic; `build_d3` and `build_d4_block` are its parametrized entry points.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .errors import (
 from .exactfield import (
     MINUS_ONE,
     ONE,
-    CycNumber,
     RootOfUnity,
-    embed,
+    power_sum,
+    root_index,
     roots_sum_to_zero,
     spec_conductor,
 )
@@ -238,80 +239,116 @@ def validate_spec(spec: EigenSpec) -> ValidationReport:
 MAX_CONDUCTOR = 512
 
 
-def _check_conductor(n: int) -> None:
+def _times(*factors: list[int]) -> list[int]:
+    """Expand a product of sums of monomials, each monomial zeta^k given by k."""
+    out = [0]
+    for f in factors:
+        out = [a + b for a in out for b in f]
+    return out
+
+
+def build(spec: EigenSpec) -> tuple[CycMatrix, CycMatrix]:
+    """The Tuba-Wenzl ordered triangular pair (A, B) of a dim 2..5 spec.
+
+    A is upper triangular with diagonal lam_1..lam_d, and
+    B = (C P) A (C P)^-1 with P the order-reversing permutation and
+    C = diag(c_1..c_d), i.e. B[i][j] = (c_i / c_j) * A[d-1-i][d-1-j]: lower
+    triangular with the eigenvalues reversed.  ABA = BAB holds identically
+    in the eigenvalues and the discrete choice (Tuba-Wenzl, "Representations
+    of the braid group B3 and of SL(2,Z)", 2001), so no irreducibility
+    screen is made.  Dim 4 reads gamma^2 from the sign, dim 5 reads gamma;
+    each raises MissingParam without it.  Every entry is a sum of roots of
+    unity, kept as exponents k of zeta^k over n = spec.conductor() until
+    the matrices are written.
+    """
+    n = spec.conductor()
     if n > MAX_CONDUCTOR:
         raise InvalidRange(f"conductor {n} exceeds the builder cap of {MAX_CONDUCTOR}")
+    half = n // 2  # zeta^half = -1: a spec's conductor is even
+    lam = [root_index(r, n) for r in spec.eigenvalues]
+    if spec.dim == 2:
+        l1, l2 = lam
+        a = [[[l1], [l1]], [[], [l2]]]
+        c = (0, half + l2 - l1)
+    elif spec.dim == 3:
+        l1, l2, l3 = lam
+        a = [
+            [[l1], [l1 + l3 - l2, l2], [l2]],
+            [[], [l2], [l2]],
+            [[], [], [l3]],
+        ]
+        c = (0, half, 0)
+    elif spec.dim == 4:
+        if spec.d_sign is None:
+            raise MissingParam("a dim-4 pair needs the sign parameter")
+        l1, l2, l3, l4 = lam
+        g2 = root_index(spec.gamma_squared(), n)
+        y = l1 + l4 - g2
+        s1, s2 = [0, y], [0, y, 2 * y]
+        a = [
+            [[l1], _times([l2], s2), _times([l3], s2), [l4]],
+            [[], [l2], _times([l3], s1), [l4]],
+            [[], [], [l3], [l4]],
+            [[], [], [], [l4]],
+        ]
+        c = (
+            0,
+            half + l3 - l4,
+            2 * l2 + l3 - l4 - g2,
+            half + 2 * l2 + 2 * l3 - 2 * l4 - g2,
+        )
+    else:
+        if spec.gamma is None:
+            raise MissingParam("a dim-5 pair needs gamma")
+        l1, l2, l3, l4, l5 = lam
+        g = root_index(spec.gamma, n)
+        t, s = 2 * g - l2 - l4, g - l3
+        ts = t + s
+        f, gs = [0, t, ts, t + ts], [0, s, 2 * s]
+        a = [
+            [[l1], _times([l2], f), _times([l3], gs, [0, ts]), _times([l4], f), [l5]],
+            [[], [l2], _times([l3], gs), _times([l4], [0, t, ts]), [l5]],
+            [[], [], [l3], _times([l4], [0, t]), [l5]],
+            [[], [], [], [l4], [l5]],
+            [[], [], [], [], [l5]],
+        ]
+        c = (
+            0,
+            half + l4 - l5,
+            3 * g - l1 - 2 * l5,
+            half + l2 + l3 + g - l1 - 2 * l5,
+            l2 + l3 + l4 + g - l1 - 3 * l5,
+        )
+    d = spec.dim
+    b = [[[] for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1):
+            b[i][j] = [k + c[i] - c[j] for k in a[d - 1 - i][d - 1 - j]]
+    return _matrix(a, n), _matrix(b, n)
+
+
+def _matrix(rows: list[list[list[int]]], n: int) -> CycMatrix:
+    entries = tuple(tuple(power_sum(m, n) for m in row) for row in rows)
+    return CycMatrix(len(rows), n, entries)
 
 
 def build_d3(theta: RootOfUnity, phi: RootOfUnity) -> tuple[CycMatrix, CycMatrix]:
     """Triangular pair with diagonals (1, theta, phi) and (phi, theta, 1)."""
     spec = EigenSpec(3, (ONE, theta, phi))
-    n = spec_conductor(spec.eigenvalues)
-    _check_conductor(n)
     report = validate_spec(spec)
     if report.status != VALID:
         raise InvalidSpec(f"spec {{1, {theta}, {phi}}} is {report.status}")
-    t = embed(theta, n)
-    f = embed(phi, n)
-    ft = embed(phi / theta, n)
-    a = CycMatrix.from_rows(
-        [
-            [1, ft + t, t],
-            [0, t, t],
-            [0, 0, f],
-        ],
-        n,
-    )
-    b = CycMatrix.from_rows(
-        [
-            [f, 0, 0],
-            [-t, t, 0],
-            [t, -ft - t, 1],
-        ],
-        n,
-    )
-    return a, b
-
-
-def _check_block_params(u: RootOfUnity, d_sign: int) -> None:
-    """Reject a sign other than +-1 and a u that is a 4th root of unity."""
-    if d_sign not in (1, -1):
-        raise InvalidSpec(f"d_sign must be +1 or -1, got {d_sign}")
-    if u.order in (1, 2, 4):
-        raise InvalidSpec(f"u must not be a 4th root of unity, got order {u.order}")
+    return build(spec)
 
 
 def build_d4_block(u: RootOfUnity, d_sign: int) -> tuple[CycMatrix, CycMatrix]:
     """The block-imprimitive dim-4 pair with diagonal (1, -1, u, -u).
 
-    d_sign is the literal D = +-1 substituted into the entries.  u must not
-    be a 4th root of unity (else the spectrum {1, -1, u, -u} degenerates).
+    d_sign is the literal D = +-1 of the block normal form (see `block_spec`).
+    u must not be a 4th root of unity (else the spectrum {1, -1, u, -u}
+    degenerates).
     """
-    _check_block_params(u, d_sign)
-    n = spec_conductor((u,))
-    _check_conductor(n)
-    uu = embed(u, n)
-    d = d_sign
-    # with d = +-1: 1/d^2 + 1/d + 1 = 2 + d and d^3 + d^2 + d = 2d + 1
-    a = CycMatrix.from_rows(
-        [
-            [1, -(2 + d), (2 + d) * uu, -uu],
-            [0, -1, (d + 1) * uu, -uu],
-            [0, 0, uu, -uu],
-            [0, 0, 0, -uu],
-        ],
-        n,
-    )
-    b = CycMatrix.from_rows(
-        [
-            [-uu, 0, 0, 0],
-            [-uu, uu, 0, 0],
-            [-d, d + 1, -1, 0],
-            [-d, 2 * d + 1, -(2 + d), 1],
-        ],
-        n,
-    )
-    return a, b
+    return build(block_spec(u, d_sign))
 
 
 def block_spec(u: RootOfUnity, d_sign: int) -> EigenSpec:
@@ -321,92 +358,10 @@ def block_spec(u: RootOfUnity, d_sign: int) -> EigenSpec:
     in the builder's eigenvalue order; the stored sign re-encodes that value
     against the canonical square root of the determinant.
     """
-    _check_block_params(u, d_sign)
+    if d_sign not in (1, -1):
+        raise InvalidSpec(f"d_sign must be +1 or -1, got {d_sign}")
+    if u.order in (1, 2, 4):
+        raise InvalidSpec(f"u must not be a 4th root of unity, got order {u.order}")
     eigs = (ONE, MINUS_ONE, u, -u)
     target = -u if d_sign == 1 else u
     return EigenSpec(4, eigs, d_sign=_sign_for(eigs, target))
-
-
-def _qpow(conductor: int):
-    """Helper producing exact powers q^k with q = zeta_conductor."""
-
-    def q(k: int) -> CycNumber:
-        return embed(RootOfUnity.of(k, conductor), conductor)
-
-    return q
-
-
-def build_so7(ell: int, d_sign: int = 1) -> tuple[CycMatrix, CycMatrix]:
-    """The 4x4 spin-representation pair at even level ell >= 14.
-
-    Only the D = +q^4 matrices have an explicit form; d_sign = -1 is rejected
-    rather than guessed.
-    """
-    if ell % 2 != 0 or ell < 14:
-        raise InvalidRange(f"ell must be even and >= 14, got {ell}")
-    if d_sign != 1:
-        raise InvalidSpec("only the D = +q^4 matrices are available")
-    n = 2 * ell
-    _check_conductor(n)
-    q = _qpow(n)
-    a = CycMatrix.from_rows(
-        [
-            [1, q(12) + q(8) + q(4), -q(6) - q(2) - q(-2), -q(10)],
-            [0, q(12), -q(6) - q(2), -q(10)],
-            [0, 0, -q(6), -q(10)],
-            [0, 0, 0, -q(10)],
-        ],
-        n,
-    )
-    b = CycMatrix.from_rows(
-        [
-            [-q(10), 0, 0, 0],
-            [q(6), -q(6), 0, 0],
-            [q(16), -q(16) - q(12), q(12), 0],
-            [-q(12), q(12) + q(8) + q(4), -q(8) - q(4) - 1, 1],
-        ],
-        n,
-    )
-    return a, b
-
-
-def build_so9(ell: int) -> tuple[CycMatrix, CycMatrix]:
-    """The 5x5 spin-representation pair at even level ell >= 18 (gamma = q^12)."""
-    if ell % 2 != 0 or ell < 18:
-        raise InvalidRange(f"ell must be even and >= 18, got {ell}")
-    n = 2 * ell
-    _check_conductor(n)
-    q = _qpow(n)
-    a = CycMatrix.from_rows(
-        [
-            [
-                1,
-                q(8) - q(6) + q(4) - q(2),
-                -q(14) + q(12) - 2 * q(10) + q(8) - q(6),
-                -q(16) + q(14) - q(12) + q(10),
-                q(16),
-            ],
-            [0, q(8), -q(14) + q(12) - q(10), -q(16) + q(14) - q(12), q(16)],
-            [0, 0, -q(14), -q(16) + q(14), q(16)],
-            [0, 0, 0, -q(18), q(18)],
-            [0, 0, 0, 0, q(20)],
-        ],
-        n,
-    )
-    b = CycMatrix.from_rows(
-        [
-            [q(20), 0, 0, 0, 0],
-            [q(18), -q(18), 0, 0, 0],
-            [q(16), -q(16) + q(14), -q(14), 0, 0],
-            [q(16), -q(16) + q(14) - q(12), -q(14) + q(12) - q(10), q(8), 0],
-            [
-                q(16),
-                -q(16) + q(14) - q(12) + q(10),
-                -q(14) + q(12) - 2 * q(10) + q(8) - q(6),
-                q(8) - q(6) + q(4) - q(2),
-                1,
-            ],
-        ],
-        n,
-    )
-    return a, b

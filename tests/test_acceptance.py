@@ -14,12 +14,10 @@ from b3image.grouporacle import (
     element_projective_order,
     projective_closure,
 )
-from b3image.qgallery import reproduce
+from b3image.qgallery import build_so7, build_so9, reproduce
 from b3image.repforms import (
     build_d3,
     build_d4_block,
-    build_so7,
-    build_so9,
     validate_spec,
     EigenSpec,
 )

@@ -85,6 +85,15 @@ def test_classify_eig_count_mismatch(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("bad", ["3/0", "x", "1/2/3"])
+def test_classify_malformed_exponent(capsys, bad):
+    code, out, err = run_cli(
+        capsys, "classify", "--dim", "3", "--eig", f"0/1,1/7,{bad}"
+    )
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == f"error: malformed exponent '{bad}'\n"
+
+
 def test_classify_requires_eig_or_non_root(capsys):
     code, _, err = run_cli(capsys, "classify", "--dim", "3")
     assert code == EXIT_INPUT_ERROR
@@ -165,17 +174,18 @@ def test_closure_invalid_level(capsys):
 
 
 def test_closure_conductor_cap(capsys):
-    code, _, err = run_cli(capsys, "closure", "--builder", "so9", "--ell", "258")
+    code, _, err = run_cli(capsys, "closure", "--builder", "so9", "--ell", "514")
     assert code == EXIT_INPUT_ERROR
-    assert err.startswith("error:") and "conductor 516" in err
+    assert err.startswith("error:") and "conductor 514" in err
 
 
 def test_closure_rejects_flags_the_builder_does_not_take(capsys):
-    code, out, err = run_cli(
-        capsys, "closure", "--builder", "so9", "--ell", "22", "--d-sign", "-"
-    )
-    assert code == EXIT_INPUT_ERROR and out == ""
-    assert err.startswith("error:") and "--d-sign" in err
+    for builder in ("so7", "so9"):
+        code, out, err = run_cli(
+            capsys, "closure", "--builder", builder, "--ell", "22", "--d-sign", "-"
+        )
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith("error:") and "--d-sign" in err
     code, out, err = run_cli(
         capsys,
         "closure",

@@ -13,7 +13,8 @@ from b3image.cyclolinalg import CycMatrix, CycPolynomial, _breaks_trace_bound
 from b3image.errors import ConductorMismatch, DimensionMismatch, SingularMatrix, ZeroMatrix
 from b3image.exactfield import CycNumber, RootOfUnity, embed, euler_phi
 from b3image.grouporacle import Word
-from b3image.repforms import build_d3, build_d4_block, build_so7, build_so9
+from b3image.qgallery import build_so7, build_so9
+from b3image.repforms import build_d3, build_d4_block
 
 
 def to_complex(m: CycMatrix):

@@ -17,7 +17,8 @@ from b3image.grouporacle import (
     element_projective_order,
     projective_closure,
 )
-from b3image.repforms import build_d3, build_d4_block, build_so7, build_so9
+from b3image.qgallery import build_so7, build_so9
+from b3image.repforms import build_d3, build_d4_block
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -60,6 +61,21 @@ def test_word_evaluate():
         Word.gen(2).evaluate(gens)
     with pytest.raises(ValueError):
         A.evaluate([])
+
+
+def test_word_evaluate_inverts_each_generator_once(monkeypatch):
+    gens = list(build_d3(RootOfUnity.of(1, 7), RootOfUnity.of(3, 7)))
+    expected = (gens[0] * gens[1].inv()) ** 3
+    inverted = []
+    exact_inv = CycMatrix.inv
+
+    def counting_inv(self):
+        inverted.append(self)
+        return exact_inv(self)
+
+    monkeypatch.setattr(CycMatrix, "inv", counting_inv)
+    assert ((A * B.inverse()) ** 3).evaluate(gens) == expected
+    assert inverted == [gens[1]]
 
 
 # -- relation checks ---------------------------------------------------------

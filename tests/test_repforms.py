@@ -1,9 +1,13 @@
-"""Representation builders: braid relation sweeps, spectra, the dim-4 block
-characteristic polynomial identity, and the existence screen."""
+"""Representation builders: the Tuba-Wenzl pair, braid relation sweeps,
+spectra, the dim-4 block characteristic polynomial identity, and the
+existence screen."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from b3image.cyclolinalg import CycMatrix, CycPolynomial
 from b3image.errors import InvalidRange, InvalidSpec, MissingParam, NotCoprime
@@ -21,15 +25,14 @@ from b3image.repforms import (
     VALID,
     EigenSpec,
     block_spec,
+    build,
     build_d3,
     build_d4_block,
-    build_so7,
-    build_so9,
     galois_image,
     scale_spec,
     validate_spec,
 )
-from b3image.qgallery import qg_spec
+from b3image.qgallery import build_so7, build_so9, qg_spec
 
 ROOTS_UP_TO_12 = [
     RootOfUnity(Fraction(k, n))
@@ -136,6 +139,124 @@ def test_validate_d4_block_degenerate_sides():
     assert validate_spec(block_spec(RootOfUnity.of(1, 6), -1)).status == EXISTENCE_FAILS
     assert validate_spec(block_spec(RootOfUnity.of(1, 3), -1)).status == VALID
     assert validate_spec(block_spec(RootOfUnity.of(1, 6), 1)).status == VALID
+
+
+# -- the Tuba-Wenzl pair ---------------------------------------------------------
+
+
+@st.composite
+def build_specs(draw):
+    """Specs of dims 2..5, repeats allowed, every discrete choice, conductor <= 60."""
+    dim = draw(st.integers(2, 5))
+    m = draw(st.integers(1, {2: 60, 3: 60, 4: 30, 5: 12}[dim]))
+    eigs = tuple(RootOfUnity.of(draw(st.integers(0, m - 1)), m) for _ in range(dim))
+    d_sign = draw(st.sampled_from((1, -1))) if dim == 4 else None
+    gamma = None
+    if dim == 5:
+        det = EigenSpec(5, eigs).determinant()
+        gamma = RootOfUnity((det.exponent + draw(st.integers(0, 4))) / 5)
+    spec = EigenSpec(dim, eigs, d_sign=d_sign, gamma=gamma)
+    assume(spec.conductor() <= 60)
+    return spec
+
+
+@given(build_specs())
+@settings(max_examples=100, deadline=None)
+def test_build_is_a_triangular_braid_pair(spec):
+    a, b = build(spec)
+    n = spec.conductor()
+    assert a.conductor == b.conductor == n
+    assert braid_holds(a, b)
+    lam = [embed(r, n) for r in spec.eigenvalues]
+    d = spec.dim
+    for i in range(d):
+        assert a.rows[i][i] == lam[i]
+        assert b.rows[i][i] == lam[d - 1 - i]
+        for j in range(i):
+            assert a.rows[i][j].is_zero() and b.rows[j][i].is_zero()
+    if d in (4, 5):
+        with pytest.raises(MissingParam):
+            build(EigenSpec(d, spec.eigenvalues))
+
+
+# The explicit spin-representation matrices the so7/so9 builders wrote before
+# `build` replaced them, with q = zeta_(2*ell); a term "-2q10" is -2*q^10.
+SO7_LITERAL = (
+    (
+        ("+q0", "+q12 +q8 +q4", "-q6 -q2 -q-2", "-q10"),
+        ("", "+q12", "-q6 -q2", "-q10"),
+        ("", "", "-q6", "-q10"),
+        ("", "", "", "-q10"),
+    ),
+    (
+        ("-q10", "", "", ""),
+        ("+q6", "-q6", "", ""),
+        ("+q16", "-q16 -q12", "+q12", ""),
+        ("-q12", "+q12 +q8 +q4", "-q8 -q4 -q0", "+q0"),
+    ),
+)
+SO9_LITERAL = (
+    (
+        (
+            "+q0",
+            "+q8 -q6 +q4 -q2",
+            "-q14 +q12 -2q10 +q8 -q6",
+            "-q16 +q14 -q12 +q10",
+            "+q16",
+        ),
+        ("", "+q8", "-q14 +q12 -q10", "-q16 +q14 -q12", "+q16"),
+        ("", "", "-q14", "-q16 +q14", "+q16"),
+        ("", "", "", "-q18", "+q18"),
+        ("", "", "", "", "+q20"),
+    ),
+    (
+        ("+q20", "", "", "", ""),
+        ("+q18", "-q18", "", "", ""),
+        ("+q16", "-q16 +q14", "-q14", "", ""),
+        ("+q16", "-q16 +q14 -q12", "-q14 +q12 -q10", "+q8", ""),
+        (
+            "+q16",
+            "-q16 +q14 -q12 +q10",
+            "-q14 +q12 -2q10 +q8 -q6",
+            "+q8 -q6 +q4 -q2",
+            "+q0",
+        ),
+    ),
+)
+
+
+def q_matrix(rows, ell: int) -> CycMatrix:
+    n = 2 * ell
+
+    def entry(text: str) -> CycNumber:
+        acc = CycNumber.zero(n)
+        for sign, coeff, k in re.findall(r"([+-])(\d*)q(-?\d+)", text):
+            acc = acc + int(sign + (coeff or "1")) * embed(RootOfUnity.of(int(k), n), n)
+        return acc
+
+    return CycMatrix.from_rows([[entry(t) for t in row] for row in rows], n)
+
+
+@pytest.mark.parametrize(
+    "family, ell, literal, e_powers",
+    [
+        ("SO7spin", 14, SO7_LITERAL, (0, 0, 0, 0)),
+        ("SO9spin", 18, SO9_LITERAL, (4, 4, 4, 2, 0)),  # repeated eigenvalue
+        ("SO9spin", 22, SO9_LITERAL, (4, 4, 4, 2, 0)),
+    ],
+)
+def test_build_matches_the_literal_spin_matrices(family, ell, literal, e_powers):
+    """build lives over Q(zeta_ell); lifted to 2*ell it is E * literal * E^-1,
+    E = diag(q^k for k in e_powers)."""
+    n = 2 * ell
+    e = CycMatrix.diagonal([RootOfUnity.of(k, n) for k in e_powers], n)
+    built = build(qg_spec(family, ell))
+    assert all(m.conductor == ell for m in built)
+    lifted = [
+        CycMatrix.from_rows([[v.lift(n) for v in row] for row in m.rows], n)
+        for m in built
+    ]
+    assert lifted == [e * q_matrix(m, ell) * e.inv() for m in literal]
 
 
 # -- d3 builder -------------------------------------------------------------------
@@ -292,9 +413,6 @@ def test_so7_range_and_sign_guards():
         build_so7(12)
     with pytest.raises(InvalidRange):
         build_so7(15)
-    # only the D = +q^4 variant has an explicit form
-    with pytest.raises(InvalidSpec):
-        build_so7(14, -1)
 
 
 def test_so9_range_guard():
@@ -305,11 +423,12 @@ def test_so9_range_guard():
 
 
 def test_builders_cap_the_conductor():
-    # conductor lcm(2, 257, 3) = 1542 and 2 * 258 = 516, both over the cap of 512
+    # conductor lcm(2, 257, 3) = 1542, and so9 lives over conductor ell = 514:
+    # both over the cap of 512
     with pytest.raises(InvalidRange, match="conductor"):
         build_d3(RootOfUnity.of(1, 257), RootOfUnity.of(1, 3))
     with pytest.raises(InvalidRange, match="conductor"):
-        build_so9(258)
+        build_so9(514)
 
 
 def test_so7_14_scalar_powers():
