@@ -14,9 +14,10 @@ first nonzero entry in the same place, and for e != 0 the n values zeta^k * e
 are pairwise distinct (zeta^j * e = zeta^k * e forces zeta^(j-k) = 1).  So
 exactly one k minimizes the coordinates of zeta^k * e, and the form is unique.
 
-A product with a generator is one integer matmul against the generator's
-table of right multiplication.  Arithmetic is plain int64 with overflow
-guards, so Completed and Exceeded outcomes are fully trusted.
+BFS multiplies on the right by one generator per projective class, never an
+inverse (see grouporacle for why), each product one integer matmul against
+the generator's table of right multiplication.  Arithmetic is plain int64
+with overflow guards, so Completed and Exceeded outcomes are fully trusted.
 
 Everything here is an internal accelerator.  grouporacle falls back to the
 exact CycMatrix engine when Unsuitable is raised; completed outcomes always
@@ -26,9 +27,10 @@ describe the identical element set.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclolinalg import CycMatrix
-from .exactfield import _ctx
+from .exactfield import CycNumber, _ctx
 
 # keep one bit of headroom below the int64 ceiling
 _LIMIT = 1 << 62
@@ -61,13 +63,14 @@ class _Engine:
         ctx = _ctx(conductor)
         self.dim = dim
         self.phi = phi = ctx.phi
+        rows = np.array(ctx.powrows[: conductor + phi - 1], dtype=np.int64)
+        # window[k, c, i] = coordinate c of zeta^(k+i)
+        window = sliding_window_view(rows, phi, axis=0)
         # scalar orbit: scal[k][i] = coords of zeta^(k+i)
-        self.scal = np.array(
-            [ctx.powrows[k : k + phi] for k in range(conductor)], dtype=np.int64
-        )
-        self.scal_max = int(np.abs(self.scal).max())
+        self.scal = window.transpose(0, 2, 1)
+        self.scal_max = int(np.abs(rows).max())
         # scal_cols[i][j, k] = coordinate i of zeta^(k+j)
-        self.scal_cols = np.ascontiguousarray(self.scal.transpose(2, 1, 0))
+        self.scal_cols = np.ascontiguousarray(window.transpose(1, 2, 0))
 
     def canonical_batch(self, mats: np.ndarray) -> np.ndarray:
         """Orbit-minimal form of each matrix in the batch."""
@@ -102,8 +105,11 @@ class _Engine:
         return (batch.reshape(-1, d, d * phi) @ table).reshape(batch.shape)
 
 
-def run(generators: list[CycMatrix], bound: int) -> tuple[bool, int, dict]:
-    """Closure by BFS over the tensor representation.
+def run(
+    generators: list[CycMatrix], dets: list[CycNumber], bound: int
+) -> tuple[bool, int, dict]:
+    """Closure by BFS over the tensor representation; `dets` are the
+    generators' determinants.
 
     Returns (completed, count, stats); count is the element total when
     completed, else the key count reached when the bound was passed.
@@ -113,31 +119,27 @@ def run(generators: list[CycMatrix], bound: int) -> tuple[bool, int, dict]:
     if n % 2:
         n *= 2
         mats = [_lift(m, n) for m in mats]
-    for m in mats:
-        if m.det().as_root_of_unity() is None:
-            raise Unsuitable("generator determinant is not a root of unity")
+    # -zeta^k is no power of zeta at odd conductor: read dets over the lift
+    if any(d.lift(n).as_root_of_unity() is None for d in dets):
+        raise Unsuitable("generator determinant is not a root of unity")
     eng = _Engine(n, mats[0].dim)
 
-    raw = np.stack([_tensor(h, eng.phi) for m in mats for h in (m, m.inv())])
-    tables = []
-    seen_gen: set[bytes] = set()
-    for t, canon in zip(raw, eng.canonical_batch(raw)):
-        key = canon.tobytes()
-        if key not in seen_gen:
-            seen_gen.add(key)
-            tables.append(eng.table(t))
+    raw = np.stack([_tensor(m, eng.phi) for m in mats])
+    # one generator per projective class, the first of each in given order
+    canon = eng.canonical_batch(raw).reshape(len(raw), -1)
+    first = np.sort(np.unique(canon, axis=0, return_index=True)[1])
+    tables = [eng.table(t) for t in raw[first]]
 
     ident = np.zeros((1, eng.dim, eng.dim, eng.phi), dtype=np.int64)
     ident[0, :, :, 0] = np.eye(eng.dim, dtype=np.int64)
     frontier = eng.canonical_batch(ident)
     visited: set[bytes] = {frontier.tobytes()}
-    products = 0
-    peak = 1
+    stats = {"products": 0, "peak_frontier": 1, "engine": "fast"}
     while len(frontier):
         fresh: list[np.ndarray] = []
         for table, table_max in tables:
             canon = eng.canonical_batch(eng.multiply(frontier, table, table_max))
-            products += len(frontier)
+            stats["products"] += len(frontier)
             keys = canon.tobytes()
             step = len(keys) // len(canon)
             new = []
@@ -148,9 +150,7 @@ def run(generators: list[CycMatrix], bound: int) -> tuple[bool, int, dict]:
                     new.append(i)
             fresh.append(canon[new])
             if len(visited) > bound:
-                stats = {"products": products, "peak_frontier": peak, "engine": "fast"}
                 return False, len(visited), stats
         frontier = np.concatenate(fresh)
-        peak = max(peak, len(frontier))
-    stats = {"products": products, "peak_frontier": peak, "engine": "fast"}
+        stats["peak_frontier"] = max(stats["peak_frontier"], len(frontier))
     return True, len(visited), stats

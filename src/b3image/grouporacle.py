@@ -3,10 +3,14 @@
 This is the artifact's verification device: finiteness claims made by the
 verdict cascade can be certified (closure completes, relations hold) and
 infiniteness claims collect counterevidence (bounds get exceeded).  Closure
-is breadth-first over left multiplication by the generators and their
-inverses, with elements identified by projective canonical form.  A numpy
-engine accelerates the common case; it produces the identical element set
-and the exact engine takes over whenever its preconditions fail.
+is breadth-first over right multiplication by the generators alone, with
+elements identified by projective canonical form.  No inverse is needed: a
+finite subsemigroup of a group is a subgroup, so the positive words give the
+whole image when it is finite and infinitely many elements when it is not,
+and Completed(order) and ExceededBound come out as for the whole group at
+every bound.  A numpy engine accelerates the common case; it produces the
+identical element set and the exact engine takes over whenever its
+preconditions fail.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 from . import _fastclosure
 from .cyclolinalg import CycMatrix
+from .exactfield import CycNumber
 from .errors import DimensionMismatch, ConductorMismatch, SingularGenerator
 
 COMPLETED = "Completed"
@@ -109,52 +114,42 @@ class ClosureResult:
         }
 
 
-def _validate_generators(generators: list[CycMatrix]) -> None:
+def _validate_generators(generators: list[CycMatrix]) -> list[CycNumber]:
+    """Check shape, conductor and invertibility; return the determinants."""
     if not generators:
         raise DimensionMismatch("need at least one generator")
     first = generators[0]
+    dets = []
     for i, g in enumerate(generators):
         if g.dim != first.dim:
             raise DimensionMismatch("generators must share a dimension")
         if g.conductor != first.conductor:
             raise ConductorMismatch("generators must share a conductor; lift first")
-        if g.det().is_zero():
+        dets.append(g.det())
+        if dets[-1].is_zero():
             raise SingularGenerator(f"generator {i} is singular")
+    return dets
 
 
 def _exact_closure(generators: list[CycMatrix], bound: int) -> ClosureResult:
-    gens: list[CycMatrix] = []
-    seen_gen: set[CycMatrix] = set()
-    for g in generators:
-        for h in (g, g.inv()):
-            c = h.projective_canonical()
-            if c not in seen_gen:
-                seen_gen.add(c)
-                gens.append(c)
+    gens = list(dict.fromkeys(g.projective_canonical() for g in generators))
     ident = CycMatrix.identity(generators[0].dim, generators[0].conductor)
     visited: set[CycMatrix] = {ident}
     frontier: list[CycMatrix] = [ident]
-    products = 0
-    peak = 1
+    stats = {"products": 0, "peak_frontier": 1, "engine": "exact"}
     while frontier:
         fresh: list[CycMatrix] = []
         for m in frontier:
             for g in gens:
-                products += 1
+                stats["products"] += 1
                 c = (m * g).primitive_part().projective_canonical()
                 if c not in visited:
                     visited.add(c)
                     if len(visited) > bound:
-                        stats = {
-                            "products": products,
-                            "peak_frontier": peak,
-                            "engine": "exact",
-                        }
                         return ClosureResult(EXCEEDED, None, bound, stats)
                     fresh.append(c)
-        peak = max(peak, len(fresh))
+        stats["peak_frontier"] = max(stats["peak_frontier"], len(fresh))
         frontier = fresh
-    stats = {"products": products, "peak_frontier": peak, "engine": "exact"}
     return ClosureResult(COMPLETED, len(visited), bound, stats)
 
 
@@ -163,15 +158,17 @@ def projective_closure(
 ) -> ClosureResult:
     """BFS closure of the projective group the generators span.
 
+    Right multiplication by the generators alone reaches the positive words,
+    which exhaust the group when it is finite (see the module docstring).
     Completed(order) when the set stabilizes within the bound, ExceededBound
     otherwise.  The element set (and hence the order) is independent of the
     engine, of generator order, and of traversal order.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    _validate_generators(generators)
+    dets = _validate_generators(generators)
     try:
-        completed, count, stats = _fastclosure.run(generators, bound)
+        completed, count, stats = _fastclosure.run(generators, dets, bound)
     except _fastclosure.Unsuitable:
         return _exact_closure(generators, bound)
     outcome = COMPLETED if completed else EXCEEDED

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .cyclolinalg import CycMatrix
@@ -94,10 +95,11 @@ class EigenSpec:
         return tuple(r.exponent for r in self.eigenvalues)
 
     def determinant(self) -> RootOfUnity:
-        prod = ONE
-        for r in self.eigenvalues:
-            prod = prod * r
-        return prod
+        return self._determinant
+
+    @cached_property
+    def _determinant(self) -> RootOfUnity:
+        return _product(self.eigenvalues)
 
     def is_distinct(self) -> bool:
         return len(set(self.eigenvalues)) == self.dim
@@ -127,12 +129,13 @@ class EigenSpec:
         }
 
 
+def _product(roots: tuple[RootOfUnity, ...]) -> RootOfUnity:
+    return RootOfUnity(sum(r.exponent for r in roots))
+
+
 def _sign_for(eigenvalues: tuple[RootOfUnity, ...], target: RootOfUnity) -> int:
     """The stored sign under which the spec's gamma_squared() equals `target`."""
-    prod = ONE
-    for r in eigenvalues:
-        prod = prod * r
-    base = prod.canonical_sqrt()
+    base = _product(eigenvalues).canonical_sqrt()
     if target == base:
         return 1
     if target == -base:

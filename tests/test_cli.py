@@ -161,6 +161,16 @@ def test_closure_exceeded_exit_code(capsys):
     assert data["outcome"] == "ExceededBound" and data["order"] is None
 
 
+def test_readme_closure_example_matches_the_cli(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prompt = "$ b3image closure --builder so7 --ell 14\n"
+    block = readme[readme.index(prompt) + len(prompt) :]
+    expected = block[: block.index("```")]
+    code, out, _ = run_cli(capsys, *prompt.split()[2:])
+    assert code == EXIT_OK
+    assert out == expected
+
+
 def test_closure_missing_param(capsys):
     code, _, err = run_cli(capsys, "closure", "--builder", "d4block", "--u", "1/5")
     assert code == EXIT_INPUT_ERROR

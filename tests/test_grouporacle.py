@@ -145,11 +145,54 @@ def test_d3_third_root_closure(engine):
     assert result.stats["engine"] == engine
 
 
+@pytest.mark.parametrize("engine", ["fast", "exact"])
+@pytest.mark.parametrize(
+    "gens, order",
+    [
+        (build_d3(RootOfUnity.of(1, 7), RootOfUnity.of(3, 7)), 168),
+        (build_so7(14), 168),
+        # A^-1 = A^10 here: the BFS reaches it only as a long positive word
+        (build_so9(22), 660),
+    ],
+    ids=["d3(1/7,3/7)", "so7(14)", "so9(22)"],
+)
+def test_positive_words_close_the_group(engine, gens, order):
+    result = CLOSURE_ENGINES[engine](list(gens), 1000)
+    assert result.outcome == COMPLETED and result.order == order
+    assert result.stats["engine"] == engine
+
+
 def test_exceeded_bound():
     gens = list(build_d4_block(RootOfUnity.of(1, 7), -1))
-    result = projective_closure(gens, 50)
-    assert result.outcome == EXCEEDED and result.order is None
-    assert result.bound == 50
+    for engine, closure in CLOSURE_ENGINES.items():
+        result = closure(gens, 50)
+        assert result.outcome == EXCEEDED and result.order is None
+        assert result.bound == 50
+        assert result.stats["engine"] == engine
+
+
+def test_closure_inverts_nothing_and_takes_one_det_per_generator(monkeypatch):
+    # the sheared S3 trips the fast engine's overflow guard, so the exact
+    # engine runs too
+    shear = CycMatrix.from_rows([[1, 2**20], [0, 1]], 1)
+    sheared = [shear * g * shear.inv() for g in S3_GENS]
+    calls = {"inv": 0, "det": 0}
+    exact_inv, exact_det = CycMatrix.inv, CycMatrix.det
+
+    def counting(name, method):
+        def counted(self):
+            calls[name] += 1
+            return method(self)
+
+        return counted
+
+    monkeypatch.setattr(CycMatrix, "inv", counting("inv", exact_inv))
+    monkeypatch.setattr(CycMatrix, "det", counting("det", exact_det))
+    for gens, engine in [(list(build_so7(14)), "fast"), (sheared, "exact")]:
+        calls.update(inv=0, det=0)
+        result = projective_closure(gens, 1000)
+        assert result.outcome == COMPLETED and result.stats["engine"] == engine
+        assert calls == {"inv": 0, "det": len(gens)}
 
 
 def test_closure_result_json():
@@ -180,7 +223,7 @@ def test_closure_guards():
 def test_fast_engine_rejects_non_root_determinant():
     stretch = CycMatrix.from_rows([[2, 0], [0, 1]], 4)
     with pytest.raises(_fastclosure.Unsuitable):
-        _fastclosure.run([stretch], 10)
+        _fastclosure.run([stretch], [stretch.det()], 10)
     # the exact engine takes over, and runs out of bound honestly on this
     # infinite cyclic image
     result = projective_closure([stretch], 10)
@@ -194,7 +237,7 @@ def test_fast_engine_overflow_falls_back_to_exact():
     shear = CycMatrix.from_rows([[1, 2**20], [0, 1]], 1)
     gens = [shear * g * shear.inv() for g in S3_GENS]
     with pytest.raises(_fastclosure.Unsuitable, match="overflow"):
-        _fastclosure.run(gens, 100)
+        _fastclosure.run(gens, [g.det() for g in gens], 100)
     result = projective_closure(gens, 100)
     assert result.outcome == COMPLETED and result.order == 6
     assert result.stats["engine"] == "exact"
