@@ -8,11 +8,19 @@ determinants: any scalar c relating two products P = c*Q of such matrices
 satisfies c^dim = det(P)/det(Q), a root of unity, so c is itself a root of
 unity lying in Q(zeta_n), hence a power of zeta_n once n is even.
 
-The canonical form is the lexicographic minimum of the flattened orbit, and
-the first nonzero entry e of M alone fixes it: every orbit element has its
-first nonzero entry in the same place, and for e != 0 the n values zeta^k * e
-are pairwise distinct (zeta^j * e = zeta^k * e forces zeta^(j-k) = 1).  So
-exactly one k minimizes the coordinates of zeta^k * e, and the form is unique.
+The canonical form is the orbit element least under the key (h(lead),
+flattened coordinates), where lead is the first nonzero entry and
+h(v) = (sum_i w_i * v_i) mod _P, with w_i = _W**(i+1) mod _P, hashes its
+coordinates.  Every orbit element has its first nonzero entry in the same
+place, so the flattened coordinates of zeta^k * M compare as those of
+zeta^k * lead; and for lead != 0 the n values zeta^k * lead are pairwise
+distinct (zeta^j * lead = zeta^k * lead forces zeta^(j-k) = 1).  So exactly
+one k minimizes the key, and the form is unique for any choice of w and _P:
+the hash orders the orbit cheaply, and the lexicographic narrowing runs only
+on the rows whose least hash ties.  h is linear mod _P, so all n hashes of a
+batch row come from one integer matmul of (lead mod _P) against the table
+h(zeta^(k+c)), each value below phi * _P**2; the engine refuses a conductor
+where phi * (_P - 1)**2 reaches the int64 guard.
 
 BFS multiplies on the right by one generator per projective class, never an
 inverse (see grouporacle for why), each product one integer matmul against
@@ -34,6 +42,9 @@ from .exactfield import CycNumber, _ctx
 
 # keep one bit of headroom below the int64 ceiling
 _LIMIT = 1 << 62
+# the canonical form's coordinate hash: a prime modulus and the base of its weights
+_P = 33_554_393
+_W = 19_260_817
 
 
 class Unsuitable(Exception):
@@ -70,7 +81,13 @@ class _Engine:
         self.scal = window.transpose(0, 2, 1)
         self.scal_max = int(np.abs(rows).max())
         # scal_cols[i][j, k] = coordinate i of zeta^(k+j)
-        self.scal_cols = np.ascontiguousarray(window.transpose(1, 2, 0))
+        self.scal_cols = window.transpose(1, 2, 0)
+        if phi * (_P - 1) ** 2 >= _LIMIT:
+            raise Unsuitable("coordinate hash would overflow")
+        weights = np.array([pow(_W, i + 1, _P) for i in range(phi)], dtype=np.int64)
+        # hash_table[c, k] = h(zeta^(k+c)), a window over the hashes of zeta^m
+        hashes = (rows % _P) @ weights % _P
+        self.hash_table = sliding_window_view(hashes, conductor)
 
     def canonical_batch(self, mats: np.ndarray) -> np.ndarray:
         """Orbit-minimal form of each matrix in the batch."""
@@ -78,14 +95,21 @@ class _Engine:
             raise Unsuitable("scalar orbit would overflow")
         flat = mats.reshape(len(mats), -1, self.phi)
         lead = flat[np.arange(len(mats)), flat.any(axis=2).argmax(axis=1)]
-        # narrow the k with minimal zeta^k * lead one coordinate at a time;
-        # the guard keeps every candidate value below _LIMIT
-        cand = np.ones((len(mats), len(self.scal)), dtype=bool)
-        for cols in self.scal_cols:
-            vals = np.where(cand, lead @ cols, _LIMIT)
-            cand = vals == vals.min(axis=1, keepdims=True)
-            if cand.sum(axis=1).max() == 1:
-                break
+        # h(zeta^k * lead) for every k at once
+        hashed = (lead % _P) @ self.hash_table
+        hashed %= _P
+        cand = hashed == hashed.min(axis=1, keepdims=True)
+        ties = np.flatnonzero(cand.sum(axis=1) > 1)
+        if len(ties):
+            # narrow the tied k one coordinate of zeta^k * lead at a time;
+            # the guard keeps every candidate value below _LIMIT
+            tied, tied_lead = cand[ties], lead[ties]
+            for cols in self.scal_cols:
+                vals = np.where(tied, tied_lead @ cols, _LIMIT)
+                tied = vals == vals.min(axis=1, keepdims=True)
+                if tied.sum(axis=1).max() == 1:
+                    break
+            cand[ties] = tied
         return (flat @ self.scal[cand.argmax(axis=1)]).reshape(mats.shape)
 
     def table(self, gen: np.ndarray) -> tuple[np.ndarray, int]:
@@ -119,16 +143,16 @@ def run(
     if n % 2:
         n *= 2
         mats = [_lift(m, n) for m in mats]
-    # -zeta^k is no power of zeta at odd conductor: read dets over the lift
-    if any(d.lift(n).as_root_of_unity() is None for d in dets):
+    if not all(d.is_root_of_unity() for d in dets):
         raise Unsuitable("generator determinant is not a root of unity")
     eng = _Engine(n, mats[0].dim)
 
     raw = np.stack([_tensor(m, eng.phi) for m in mats])
     # one generator per projective class, the first of each in given order
-    canon = eng.canonical_batch(raw).reshape(len(raw), -1)
-    first = np.sort(np.unique(canon, axis=0, return_index=True)[1])
-    tables = [eng.table(t) for t in raw[first]]
+    classes: dict[bytes, np.ndarray] = {}
+    for form, gen in zip(eng.canonical_batch(raw), raw):
+        classes.setdefault(form.tobytes(), gen)
+    tables = [eng.table(t) for t in classes.values()]
 
     ident = np.zeros((1, eng.dim, eng.dim, eng.phi), dtype=np.int64)
     ident[0, :, :, 0] = np.eye(eng.dim, dtype=np.int64)

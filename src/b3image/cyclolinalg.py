@@ -6,8 +6,10 @@ Gauss-Jordan elimination are the right tools. All arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -229,14 +231,11 @@ class CycMatrix:
     def det(self) -> CycNumber:
         acc = CycNumber.zero(self.conductor)
         for perm in itertools.permutations(range(self.dim)):
-            term = CycNumber.one(self.conductor)
-            for i, j in enumerate(perm):
-                term = term * self.rows[i][j]
-                if term.is_zero():
-                    break
-            if _perm_sign(perm) < 0:
-                term = -term
-            acc = acc + term
+            factors = [self.rows[i][j] for i, j in enumerate(perm)]
+            if any(f.is_zero() for f in factors):
+                continue
+            term = functools.reduce(operator.mul, factors)
+            acc = acc + term if _perm_sign(perm) > 0 else acc - term
         return acc
 
     def trace(self) -> CycNumber:
@@ -348,7 +347,7 @@ class CycMatrix:
                 return t
             if det_is_root is not False and _breaks_trace_bound(power, scale):
                 if det_is_root is None:
-                    det_is_root = self.det().as_root_of_unity() is not None
+                    det_is_root = self.det().is_root_of_unity()
                 if det_is_root:
                     return None
         return None

@@ -289,6 +289,13 @@ class CycNumber:
             return None
         return RootOfUnity(Fraction(k, self.conductor))
 
+    def is_root_of_unity(self) -> bool:
+        """True iff this value is a root of unity.  At odd conductor n the
+        roots of unity in Q(zeta_n) are the +-zeta^k, and -zeta^k is no power
+        of zeta_n, so the test runs over the lift to 2n."""
+        n = self.conductor
+        return self.lift(2 * n if n % 2 else n).as_root_of_unity() is not None
+
     def field_trace(self) -> Fraction:
         """Tr_{Q(zeta)/Q}: the sum of the phi(conductor) Galois conjugates."""
         row = _trace_row(self.conductor)

@@ -26,6 +26,7 @@ from .errors import (
 from .exactfield import (
     MINUS_ONE,
     ONE,
+    CycNumber,
     RootOfUnity,
     power_sum,
     root_index,
@@ -331,7 +332,8 @@ def build(spec: EigenSpec) -> tuple[CycMatrix, CycMatrix]:
 
 
 def _matrix(rows: list[list[list[int]]], n: int) -> CycMatrix:
-    entries = tuple(tuple(power_sum(m, n) for m in row) for row in rows)
+    zero = CycNumber.zero(n)
+    entries = tuple(tuple(power_sum(m, n) if m else zero for m in row) for row in rows)
     return CycMatrix(len(rows), n, entries)
 
 

@@ -2,6 +2,7 @@
 floating-point oracle and sympy."""
 
 import cmath
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -37,14 +38,14 @@ def cnum(n: int):
     )
 
 
-def matrices(dims=(2, 3), conds=(1, 3, 4, 6, 8)):
+def matrices(dims=(2, 3), conds=(1, 3, 4, 6, 8), entry=cnum):
     return st.sampled_from(conds).flatmap(
         lambda n: st.sampled_from(dims).flatmap(
             lambda d: st.builds(
                 lambda entries: CycMatrix(
                     d, n, tuple(tuple(entries[i * d : (i + 1) * d]) for i in range(d))
                 ),
-                st.lists(cnum(n), min_size=d * d, max_size=d * d),
+                st.lists(entry(n), min_size=d * d, max_size=d * d),
             )
         )
     )
@@ -71,6 +72,50 @@ def test_det_matches_complex_oracle(m):
     zeta = cmath.exp(2j * cmath.pi / m.conductor)
     det = sum(float(c) * zeta**j for j, c in enumerate(m.det().coords))
     assert abs(det - np.linalg.det(np.array(to_complex(m)))) < 1e-7
+
+
+def _leibniz(m: CycMatrix) -> CycNumber:
+    """det by the plain Leibniz expansion: every permutation multiplied out,
+    its sign from the inversion count."""
+    acc = CycNumber.zero(m.conductor)
+    for perm in itertools.permutations(range(m.dim)):
+        term = CycNumber.one(m.conductor)
+        for i, j in enumerate(perm):
+            term = term * m.rows[i][j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+def sparse_cnum(n: int):
+    """Zero about half the time, so det skips many permutations."""
+    return st.one_of(st.just(CycNumber.zero(n)), cnum(n))
+
+
+@given(matrices(dims=(2, 3, 4, 5), entry=sparse_cnum))
+@settings(max_examples=60, deadline=None)
+def test_det_matches_leibniz_expansion(m):
+    assert m.det() == _leibniz(m)
+
+
+def test_det_of_triangular_matrix_takes_dim_minus_one_products(monkeypatch):
+    n = 8
+    zeta = embed(RootOfUnity.of(1, n), n)
+    rows = [[zeta ** (i + j) + 2 if j >= i else 0 for j in range(5)] for i in range(5)]
+    m = CycMatrix.from_rows(rows, n)
+    calls = 0
+    exact_mul = CycNumber.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return exact_mul(self, other)
+
+    monkeypatch.setattr(CycNumber, "__mul__", counted)
+    det = m.det()
+    monkeypatch.undo()
+    assert calls == 4
+    assert det == _leibniz(m)
 
 
 @given(matrices())
@@ -193,6 +238,26 @@ def test_trace_certificate_needs_a_root_of_unity_determinant():
     assert _breaks_trace_bound(m, Fraction(1))
     assert m.det().as_root_of_unity() is None
     assert m.projective_order(10) == 6
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_trace_certificate_reads_an_odd_conductor_determinant_over_the_lift(
+    n, monkeypatch
+):
+    # det = -1 is a root of unity but no power of zeta_n at odd n; the
+    # Fibonacci matrix has infinite order and breaks the bound at its square
+    m = CycMatrix.from_rows([[1, 1], [1, 0]], n)
+    powers = 0
+    exact_is_scalar = CycMatrix.is_scalar
+
+    def counted(self):
+        nonlocal powers
+        powers += 1
+        return exact_is_scalar(self)
+
+    monkeypatch.setattr(CycMatrix, "is_scalar", counted)
+    assert m.projective_order(200) is None
+    assert powers <= 3
 
 
 def test_trace_bound_scales_with_the_stripped_content():

@@ -220,6 +220,17 @@ def test_minus_root_recognized_at_odd_conductor_after_lift():
     assert x.lift(6).as_root_of_unity() == RootOfUnity.of(5, 6)
 
 
+def test_is_root_of_unity_covers_minus_powers_at_odd_conductor():
+    for n in (1, 3, 5, 9, 15):
+        for k in range(n):
+            z = embed(RootOfUnity.of(k, n), n)
+            assert z.is_root_of_unity() and (-z).is_root_of_unity()
+        assert not (embed(ONE, n) * 2).is_root_of_unity()
+        assert not CycNumber.zero(n).is_root_of_unity()
+    assert (-embed(RootOfUnity.of(1, 3), 3)).as_root_of_unity() is None
+    assert not (embed(ONE, 4) + embed(RootOfUnity.of(1, 4), 4)).is_root_of_unity()
+
+
 def test_galois_is_ring_automorphism():
     n = 12
     x = embed(RootOfUnity.of(1, 12), n) + 2

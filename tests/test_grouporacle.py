@@ -8,7 +8,7 @@ import pytest
 from b3image import _fastclosure, grouporacle
 from b3image.cyclolinalg import CycMatrix
 from b3image.errors import ConductorMismatch, DimensionMismatch, SingularGenerator
-from b3image.exactfield import RootOfUnity, cyclotomic_polynomial
+from b3image.exactfield import RootOfUnity, cyclotomic_polynomial, embed
 from b3image.grouporacle import (
     COMPLETED,
     EXCEEDED,
@@ -195,6 +195,14 @@ def test_closure_inverts_nothing_and_takes_one_det_per_generator(monkeypatch):
         assert calls == {"inv": 0, "det": len(gens)}
 
 
+def test_closure_multiplies_by_one_generator_per_projective_class():
+    a, b = build_so7(14)
+    zeta = embed(RootOfUnity.of(1, a.conductor), a.conductor)
+    want = {"products": 336, "peak_frontier": 32, "engine": "fast"}
+    assert projective_closure([a, b], 1000).stats == want
+    assert projective_closure([a, b, a.scale(zeta), b], 1000).stats == want
+
+
 def test_closure_result_json():
     data = projective_closure(S3_GENS, 100).to_json()
     assert set(data) == {"outcome", "order", "bound", "stats"}
@@ -243,6 +251,17 @@ def test_fast_engine_overflow_falls_back_to_exact():
     assert result.stats["engine"] == "exact"
 
 
+def test_fast_engine_refuses_a_hash_that_could_overflow(monkeypatch):
+    # with a modulus of 2^31, phi * (P - 1)^2 passes 2^62 once phi >= 2
+    monkeypatch.setattr(_fastclosure, "_P", 1 << 31)
+    gens = list(build_d3(RootOfUnity.of(1, 3), RootOfUnity.of(2, 3)))
+    with pytest.raises(_fastclosure.Unsuitable, match="hash"):
+        _fastclosure.run(gens, [g.det() for g in gens], 1000)
+    result = projective_closure(gens, 1000)
+    assert result.outcome == COMPLETED and result.order == 12
+    assert result.stats["engine"] == "exact"
+
+
 def _brute_orbit(mat, n):
     """The n tensors zeta^k * mat, k = 0 .. n-1, by repeated multiplication
     with the companion matrix of the n-th cyclotomic polynomial."""
@@ -256,11 +275,22 @@ def _brute_orbit(mat, n):
     return orbit
 
 
+def _hash(coords):
+    """h(v) = (sum of w_i * v_i) mod P with w_i = W**(i+1) mod P, in Python ints."""
+    p, w = _fastclosure._P, _fastclosure._W
+    return sum(pow(w, i + 1, p) * int(v) for i, v in enumerate(coords)) % p
+
+
 def _brute_canonical(mat, n):
-    """Lexicographic minimum of the flattened scalar orbit of mat."""
-    orbit = _brute_orbit(mat, n)
-    flat = np.stack(orbit).reshape(n, -1)
-    return orbit[np.lexsort(flat.T[::-1])[0]]
+    """Least member of the scalar orbit of mat under the key (hash of the
+    first nonzero entry, flattened coordinates)."""
+
+    def key(m):
+        entries = m.reshape(-1, m.shape[-1])
+        lead = entries[entries.any(axis=1).argmax()]
+        return _hash(lead), entries.ravel().tolist()
+
+    return min(_brute_orbit(mat, n), key=key)
 
 
 def _tensors_and_products(gens):
@@ -271,7 +301,7 @@ def _tensors_and_products(gens):
     return np.stack([_fastclosure._tensor(m, phi) for m in mats])
 
 
-@pytest.mark.parametrize(
+CANONICAL_CASES = pytest.mark.parametrize(
     "gens",
     [
         build_so7(14),
@@ -280,7 +310,10 @@ def _tensors_and_products(gens):
     ],
     ids=["so7(14)", "d3(1/9,4/9)", "so9(22)"],
 )
-def test_fast_canonical_form_is_the_orbit_minimum(gens):
+
+
+def _check_canonical_forms(gens):
+    """Every member of each scalar orbit maps to the brute-force minimum."""
     n, dim = gens[0].conductor, gens[0].dim
     eng = _fastclosure._Engine(n, dim)
     mats = _tensors_and_products(gens)
@@ -297,6 +330,19 @@ def test_fast_canonical_form_is_the_orbit_minimum(gens):
         got = eng.canonical_batch(np.stack(orbit))
         for form in got:
             assert np.array_equal(form, want)
+
+
+@CANONICAL_CASES
+def test_fast_canonical_form_is_the_orbit_minimum(gens):
+    _check_canonical_forms(gens)
+
+
+@CANONICAL_CASES
+def test_fast_canonical_form_breaks_hash_ties_by_coordinates(gens, monkeypatch):
+    # modulo 2 the hash takes two values, so most orbits tie on it and the
+    # lexicographic narrowing decides
+    monkeypatch.setattr(_fastclosure, "_P", 2)
+    _check_canonical_forms(gens)
 
 
 def test_fast_multiply_matches_exact_product():
