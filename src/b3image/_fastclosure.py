@@ -1,6 +1,6 @@
 """numpy-accelerated closure engine.
 
-Matrices become int64 coordinate tensors over the power basis of Z[zeta_n],
+Matrices become integer coordinate tensors over the power basis of Z[zeta_n],
 and projective identification minimizes over the finite scalar orbit
 {zeta_n^k * M : 0 <= k < n}.  That orbit is a complete set of projective
 representatives whenever the generators are integral with root-of-unity
@@ -20,12 +20,31 @@ the hash orders the orbit cheaply, and the lexicographic narrowing runs only
 on the rows whose least hash ties.  h is linear mod _P, so all n hashes of a
 batch row come from one integer matmul of (lead mod _P) against the table
 h(zeta^(k+c)), each value below phi * _P**2; the engine refuses a conductor
-where phi * (_P - 1)**2 reaches the int64 guard.
+where phi * (_P - 1)**2 reaches the int64 guard _LIMIT.
 
 BFS multiplies on the right by one generator per projective class, never an
-inverse (see grouporacle for why), each product one integer matmul against
-the generator's table of right multiplication.  Arithmetic is plain int64
-with overflow guards, so Completed and Exceeded outcomes are fully trusted.
+inverse (see grouporacle for why), each product one matmul against the
+generator's table of right multiplication.  The generators, tables, scalar
+orbit, frontier, products and canonical forms are float64 arrays that hold
+integers, so the products and the canonical scaling run as BLAS GEMMs.  This
+is exact under one bound, _EXACT = 2**53: before every such matmul a guard
+checks that (largest |left entry|) * (largest |right entry|) * (length of the
+dot product) stays below _EXACT, else the engine raises Unsuitable.  Below
+the bound every product of two entries and every partial sum of a dot
+product is an integer of absolute value under 2**53, which binary64 holds
+exactly; so each operation BLAS performs is exact, whatever its summation
+order, blocking, FMA use or thread count, and the result is the integer
+product.  A GEMM can leave -0.0 where the integer is 0, so the canonical
+forms add 0.0 before their bytes become keys: each integer then has one bit
+pattern, and the keys stay exact and unique.  The coordinate hash (its
+values reach phi * _P**2) and the tie narrowing run on int64 copies of the
+leading entries, guarded by _LIMIT.  So Completed and Exceeded outcomes are
+fully trusted.
+
+Each generator's products are formed, put in canonical form and deduped in
+row blocks of _BLOCK, in frontier order, so temporaries scale with the block
+and not with the frontier; the bound is checked after each generator's whole
+batch, which keeps every count independent of _BLOCK.
 
 Everything here is an internal accelerator.  grouporacle falls back to the
 exact CycMatrix engine when Unsuitable is raised; completed outcomes always
@@ -34,22 +53,28 @@ describe the identical element set.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclolinalg import CycMatrix
 from .exactfield import CycNumber, _ctx
 
-# keep one bit of headroom below the int64 ceiling
+# every integer a float64 matmul forms stays below this, so binary64 holds it exactly
+_EXACT = 1 << 53
+# the int64 hash and tie narrowing keep one bit of headroom below the int64 ceiling
 _LIMIT = 1 << 62
 # the canonical form's coordinate hash: a prime modulus and the base of its weights
 _P = 33_554_393
 _W = 19_260_817
+# frontier rows multiplied, put in canonical form and deduped together
+_BLOCK = 512
 
 
 class Unsuitable(Exception):
     """Input outside the fast engine's preconditions, or a product that could
-    exceed int64; the exact engine must take over."""
+    reach 2**53; the exact engine must take over."""
 
 
 def _lift(mat: CycMatrix, conductor: int) -> CycMatrix:
@@ -58,43 +83,68 @@ def _lift(mat: CycMatrix, conductor: int) -> CycMatrix:
 
 
 def _tensor(mat: CycMatrix, phi: int) -> np.ndarray:
-    out = np.zeros((mat.dim, mat.dim, phi), dtype=np.int64)
+    out = np.zeros((mat.dim, mat.dim, phi))
     for i, row in enumerate(mat.rows):
         for j, v in enumerate(row):
             if v.den != 1:
                 raise Unsuitable("non-integral entry")
-            if any(abs(c) >= _LIMIT for c in v.num):
-                raise Unsuitable("entry coordinate exceeds int64")
+            if any(abs(c) >= _EXACT for c in v.num):
+                raise Unsuitable("entry coordinate reaches 2**53")
             out[i, j, :] = v.num
     return out
 
 
+def _magnitude(x: np.ndarray) -> int:
+    """Largest absolute entry, by two reductions and no full-size temporary."""
+    return int(max(x.max(initial=0), -x.min(initial=0)))
+
+
+@lru_cache(maxsize=None)
+def _power_rows(conductor: int) -> np.ndarray:
+    """Coordinates of zeta^m for m < conductor + phi - 1, one int64 row each."""
+    ctx = _ctx(conductor)
+    rows = np.array(ctx.powrows[: conductor + ctx.phi - 1], dtype=np.int64)
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _scalar_orbit(conductor: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The float64 window scal[k][i] = coords of zeta^(k+i), the int64 window
+    scal_cols[i][j, k] = coordinate i of zeta^(k+j), and their largest
+    absolute coordinate."""
+    rows = _power_rows(conductor)
+    phi = rows.shape[1]
+    scal = sliding_window_view(rows.astype(np.float64), phi, axis=0).transpose(0, 2, 1)
+    scal_cols = sliding_window_view(rows, phi, axis=0).transpose(1, 2, 0)
+    return scal, scal_cols, _magnitude(rows)
+
+
+@lru_cache(maxsize=None)
+def _hash_table(conductor: int, p: int, w: int) -> np.ndarray:
+    """hash_table[c, k] = h(zeta^(k+c)), a window over the hashes of zeta^m."""
+    rows = _power_rows(conductor)
+    weights = np.array([pow(w, i + 1, p) for i in range(rows.shape[1])], dtype=np.int64)
+    return sliding_window_view((rows % p) @ weights % p, conductor)
+
+
 class _Engine:
     def __init__(self, conductor: int, dim: int) -> None:
-        ctx = _ctx(conductor)
         self.dim = dim
-        self.phi = phi = ctx.phi
-        rows = np.array(ctx.powrows[: conductor + phi - 1], dtype=np.int64)
-        # window[k, c, i] = coordinate c of zeta^(k+i)
-        window = sliding_window_view(rows, phi, axis=0)
-        # scalar orbit: scal[k][i] = coords of zeta^(k+i)
-        self.scal = window.transpose(0, 2, 1)
-        self.scal_max = int(np.abs(rows).max())
-        # scal_cols[i][j, k] = coordinate i of zeta^(k+j)
-        self.scal_cols = window.transpose(1, 2, 0)
+        self.phi = phi = _ctx(conductor).phi
+        self.scal, self.scal_cols, self.scal_max = _scalar_orbit(conductor)
         if phi * (_P - 1) ** 2 >= _LIMIT:
             raise Unsuitable("coordinate hash would overflow")
-        weights = np.array([pow(_W, i + 1, _P) for i in range(phi)], dtype=np.int64)
-        # hash_table[c, k] = h(zeta^(k+c)), a window over the hashes of zeta^m
-        hashes = (rows % _P) @ weights % _P
-        self.hash_table = sliding_window_view(hashes, conductor)
+        self.hash_table = _hash_table(conductor, _P, _W)
 
     def canonical_batch(self, mats: np.ndarray) -> np.ndarray:
-        """Orbit-minimal form of each matrix in the batch."""
-        if int(np.abs(mats).max(initial=0)) * self.scal_max * self.phi >= _LIMIT:
+        """Orbit-minimal form of each matrix in the batch, with no -0.0."""
+        if _magnitude(mats) * self.scal_max * self.phi >= _EXACT:
             raise Unsuitable("scalar orbit would overflow")
         flat = mats.reshape(len(mats), -1, self.phi)
-        lead = flat[np.arange(len(mats)), flat.any(axis=2).argmax(axis=1)]
+        # the first nonzero coordinate lies in the first nonzero entry
+        first = (mats.reshape(len(mats), -1) != 0).argmax(axis=1) // self.phi
+        lead = flat[np.arange(len(mats)), first].astype(np.int64)
         # h(zeta^k * lead) for every k at once
         hashed = (lead % _P) @ self.hash_table
         hashed %= _P
@@ -110,23 +160,25 @@ class _Engine:
                 if tied.sum(axis=1).max() == 1:
                     break
             cand[ties] = tied
-        return (flat @ self.scal[cand.argmax(axis=1)]).reshape(mats.shape)
+        out = flat @ self.scal[cand.argmax(axis=1)]
+        out += 0.0  # -0.0 + 0.0 is +0.0: one bit pattern per integer key
+        return out.reshape(mats.shape)
 
     def table(self, gen: np.ndarray) -> tuple[np.ndarray, int]:
         """Right multiplication by gen as one (d*phi) x (d*phi) matrix: the
         entry at row (c, p), column (b, i) is coordinate i of zeta^p * gen[c, b]."""
         d, phi = self.dim, self.phi
-        if int(np.abs(gen).max(initial=0)) * self.scal_max * phi >= _LIMIT:
+        if _magnitude(gen) * self.scal_max * phi >= _EXACT:
             raise Unsuitable("multiplication table would overflow")
         table = np.einsum("cbj,pji->cpbi", gen, self.scal[:phi])
         table = table.reshape(d * phi, d * phi)
-        return table, int(np.abs(table).max(initial=0))
+        return table, _magnitude(table)
 
     def multiply(self, batch: np.ndarray, table: np.ndarray, table_max: int) -> np.ndarray:
         d, phi = self.dim, self.phi
-        if int(np.abs(batch).max(initial=0)) * table_max * d * phi >= _LIMIT:
+        if _magnitude(batch) * table_max * d * phi >= _EXACT:
             raise Unsuitable("product would overflow")
-        return (batch.reshape(-1, d, d * phi) @ table).reshape(batch.shape)
+        return (batch.reshape(-1, d * phi) @ table).reshape(batch.shape)
 
 
 def run(
@@ -154,25 +206,27 @@ def run(
         classes.setdefault(form.tobytes(), gen)
     tables = [eng.table(t) for t in classes.values()]
 
-    ident = np.zeros((1, eng.dim, eng.dim, eng.phi), dtype=np.int64)
-    ident[0, :, :, 0] = np.eye(eng.dim, dtype=np.int64)
+    ident = np.zeros((1, eng.dim, eng.dim, eng.phi))
+    ident[0, :, :, 0] = np.eye(eng.dim)
     frontier = eng.canonical_batch(ident)
     visited: set[bytes] = {frontier.tobytes()}
     stats = {"products": 0, "peak_frontier": 1, "engine": "fast"}
     while len(frontier):
         fresh: list[np.ndarray] = []
         for table, table_max in tables:
-            canon = eng.canonical_batch(eng.multiply(frontier, table, table_max))
+            for start in range(0, len(frontier), _BLOCK):
+                block = frontier[start : start + _BLOCK]
+                canon = eng.canonical_batch(eng.multiply(block, table, table_max))
+                keys = canon.tobytes()
+                step = len(keys) // len(canon)
+                new = []
+                for i in range(len(canon)):
+                    key = keys[i * step : (i + 1) * step]
+                    if key not in visited:
+                        visited.add(key)
+                        new.append(i)
+                fresh.append(canon[new])
             stats["products"] += len(frontier)
-            keys = canon.tobytes()
-            step = len(keys) // len(canon)
-            new = []
-            for i in range(len(canon)):
-                key = keys[i * step : (i + 1) * step]
-                if key not in visited:
-                    visited.add(key)
-                    new.append(i)
-            fresh.append(canon[new])
             if len(visited) > bound:
                 return False, len(visited), stats
         frontier = np.concatenate(fresh)

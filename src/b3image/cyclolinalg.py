@@ -334,20 +334,23 @@ class CycMatrix:
         the squared absolute values of those conjugates, at most
         phi(n) * dim**2 * s**2.  A power that breaks this bound therefore
         proves that no power of self is scalar, and the answer is None at
-        every bound.  The determinant is computed only when the bound first
-        breaks; if it is not a root of unity the test is switched off and
-        the powers run on to the bound.
+        every bound.  The determinant is computed once, up front, to reject a
+        singular matrix; whether it is a root of unity is asked only when the
+        bound first breaks, and if it is not the test is switched off and the
+        powers run on to the bound.
         """
         if bound < 1:
             raise ValueError("bound must be at least 1")
-        self.inv()  # raises SingularMatrix up front
+        det = self.det()
+        if det.is_zero():
+            raise SingularMatrix("matrix is singular")
         det_is_root: bool | None = None  # unknown until the bound first breaks
         for t, power, scale in self._scaled_powers(bound):
             if power.is_scalar():
                 return t
             if det_is_root is not False and _breaks_trace_bound(power, scale):
                 if det_is_root is None:
-                    det_is_root = self.det().is_root_of_unity()
+                    det_is_root = det.is_root_of_unity()
                 if det_is_root:
                     return None
         return None

@@ -276,6 +276,30 @@ def test_unipotent_never_breaks_the_trace_bound():
     assert m.projective_order(50) is None
 
 
+def test_projective_order_takes_one_det_and_no_inverse(monkeypatch):
+    # AB^-1 of the d4 block u = 1/7 has infinite order, certified by a trace
+    # once its determinant is known to be a root of unity
+    word = Word.gen(0) * Word.gen(1).inverse()
+    m = word.evaluate(list(build_d4_block(RootOfUnity.of(1, 7), -1)))
+    calls = {"inv": 0, "det": 0}
+    exact_inv, exact_det = CycMatrix.inv, CycMatrix.det
+
+    def counting(name, method):
+        def counted(self):
+            calls[name] += 1
+            return method(self)
+
+        return counted
+
+    monkeypatch.setattr(CycMatrix, "inv", counting("inv", exact_inv))
+    monkeypatch.setattr(CycMatrix, "det", counting("det", exact_det))
+    assert m.projective_order(1000) is None
+    assert calls == {"inv": 0, "det": 1}
+    with pytest.raises(SingularMatrix, match="singular"):
+        CycMatrix.from_rows([[1, 1], [1, 1]], 4).projective_order(10)
+    assert calls == {"inv": 0, "det": 2}
+
+
 def test_block_elements_of_infinite_order_certified_within_four_powers():
     word = Word.gen(0) * Word.gen(1).inverse()
     for n in (7, 8, 9, 11):

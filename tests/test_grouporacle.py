@@ -1,10 +1,16 @@
 """Word algebra, projective relation checks, and the closure oracle."""
 
+import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import b3image
 from b3image import _fastclosure, grouporacle
 from b3image.cyclolinalg import CycMatrix
 from b3image.errors import ConductorMismatch, DimensionMismatch, SingularGenerator
@@ -241,14 +247,16 @@ def test_fast_engine_rejects_non_root_determinant():
 
 def test_fast_engine_overflow_falls_back_to_exact():
     # conjugating by a large shear keeps the group S3 but pushes the guarded
-    # int64 products past their limit
-    shear = CycMatrix.from_rows([[1, 2**20], [0, 1]], 1)
-    gens = [shear * g * shear.inv() for g in S3_GENS]
-    with pytest.raises(_fastclosure.Unsuitable, match="overflow"):
-        _fastclosure.run(gens, [g.det() for g in gens], 100)
-    result = projective_closure(gens, 100)
-    assert result.outcome == COMPLETED and result.order == 6
-    assert result.stats["engine"] == "exact"
+    # products past 2^53; a shear of 2^14 gives entries near 2^28 and
+    # products near 2^57, inside int64 but past the float64 carrier's bound
+    for shift in (14, 20):
+        shear = CycMatrix.from_rows([[1, 2**shift], [0, 1]], 1)
+        gens = [shear * g * shear.inv() for g in S3_GENS]
+        with pytest.raises(_fastclosure.Unsuitable, match="product would overflow"):
+            _fastclosure.run(gens, [g.det() for g in gens], 100)
+        result = projective_closure(gens, 100)
+        assert result.outcome == COMPLETED and result.order == 6
+        assert result.stats["engine"] == "exact"
 
 
 def test_fast_engine_refuses_a_hash_that_could_overflow(monkeypatch):
@@ -354,4 +362,93 @@ def test_fast_multiply_matches_exact_product():
     for x, y in product(mats, repeat=2):
         table, table_max = eng.table(_fastclosure._tensor(y, eng.phi))
         got = eng.multiply(_fastclosure._tensor(x, eng.phi)[None], table, table_max)
+        # integers carried in float64
+        assert got.dtype == np.float64
         assert np.array_equal(got[0], _fastclosure._tensor(x * y, eng.phi))
+
+
+def _power_of_two_table():
+    """An engine at conductor 4 (phi = 2, zeta = i) and the table of a 2x2
+    generator whose coordinates are all 2^10, so every table entry is +-2^10
+    and a product's guard value batch_max * 2^10 * d * phi is batch_max * 2^12."""
+    eng = _fastclosure._Engine(4, 2)
+    table, table_max = eng.table(np.full((2, 2, eng.phi), 2.0**10))
+    assert table_max == 2**10 and np.all(np.abs(table) == 2**10)
+    return eng, table, table_max
+
+
+def test_fast_multiply_is_exact_just_under_two_to_the_53():
+    eng, table, table_max = _power_of_two_table()
+    top = 2**41 - 1  # guard value 2^53 - 2^12
+    rng = np.random.default_rng(53)
+    batch = rng.integers(-top, top + 1, size=(64, 2, 2, eng.phi)).astype(np.float64)
+    # rows signed like a table column reach the guard value in one dot product
+    signs = np.sign(table.T[:2]).reshape(2, 2, eng.phi)
+    batch[0], batch[1] = top * signs, -top * signs
+    got = eng.multiply(batch, table, table_max)
+    rows = batch.astype(np.int64).astype(object).reshape(-1, 4)
+    want = rows @ table.astype(np.int64).astype(object)
+    assert [int(v) for v in got.ravel()] == want.ravel().tolist()
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert got[0, 0, 0, 0] == top * 2**12 == 2**53 - 2**12
+
+
+def test_fast_multiply_refuses_a_product_at_two_to_the_53():
+    eng, table, table_max = _power_of_two_table()
+    batch = np.zeros((1, 2, 2, eng.phi))
+    batch[0, 0, 0, 0] = 2**41  # guard value exactly 2^53
+    with pytest.raises(_fastclosure.Unsuitable, match="product would overflow"):
+        eng.multiply(batch, table, table_max)
+
+
+@CANONICAL_CASES
+def test_fast_canonical_form_has_no_negative_zero(gens):
+    eng = _fastclosure._Engine(gens[0].conductor, gens[0].dim)
+    mats = _tensors_and_products(gens)
+    # negating puts -0.0 into every zero coordinate of the input
+    for batch in (mats, -mats):
+        forms = eng.canonical_batch(batch)
+        assert not np.signbit(forms[forms == 0]).any()
+
+
+@pytest.mark.parametrize(
+    "gens, bound, want",
+    [
+        (build_so7(14), 1000, (COMPLETED, 168, 336, 32)),
+        (build_so9(22), 1000, (COMPLETED, 660, 1320, 139)),
+        (build_so7(16), 100, (EXCEEDED, None, 124, 32)),
+        (build_so9(20), 100, (EXCEEDED, None, 124, 32)),
+        (build_d4_block(RootOfUnity.of(1, 7), -1), 100, (EXCEEDED, None, 124, 32)),
+    ],
+    ids=["so7(14)", "so9(22)", "so7(16)@100", "so9(20)@100", "d4block(1/7,-1)@100"],
+)
+def test_fast_closure_does_not_depend_on_the_row_block(gens, bound, want, monkeypatch):
+    # the bound is checked after each generator's whole batch, so a batch
+    # that crosses it in an early block still runs and counts every block
+    for block in (_fastclosure._BLOCK, 7, 1):
+        monkeypatch.setattr(_fastclosure, "_BLOCK", block)
+        result = projective_closure(list(gens), bound)
+        stats = result.stats
+        got = (result.outcome, result.order, stats["products"], stats["peak_frontier"])
+        assert got == want and stats["engine"] == "fast"
+
+
+def test_fast_closure_does_not_depend_on_blas_threads():
+    script = (
+        "import json\n"
+        "from b3image.grouporacle import projective_closure\n"
+        "from b3image.qgallery import build_so9\n"
+        "print(json.dumps(projective_closure(list(build_so9(20)), 5000).to_json()))\n"
+    )
+    src = str(Path(b3image.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["outcome"] == EXCEEDED and outputs[0]["stats"]["engine"] == "fast"
