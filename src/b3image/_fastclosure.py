@@ -8,19 +8,18 @@ determinants: any scalar c relating two products P = c*Q of such matrices
 satisfies c^dim = det(P)/det(Q), a root of unity, so c is itself a root of
 unity lying in Q(zeta_n), hence a power of zeta_n once n is even.
 
-The canonical form is the orbit element least under the key (h(lead),
-flattened coordinates), where lead is the first nonzero entry and
-h(v) = (sum_i w_i * v_i) mod _P, with w_i = _W**(i+1) mod _P, hashes its
-coordinates.  Every orbit element has its first nonzero entry in the same
-place, so the flattened coordinates of zeta^k * M compare as those of
-zeta^k * lead; and for lead != 0 the n values zeta^k * lead are pairwise
-distinct (zeta^j * lead = zeta^k * lead forces zeta^(j-k) = 1).  So exactly
-one k minimizes the key, and the form is unique for any choice of w and _P:
-the hash orders the orbit cheaply, and the lexicographic narrowing runs only
-on the rows whose least hash ties.  h is linear mod _P, so all n hashes of a
-batch row come from one integer matmul of (lead mod _P) against the table
-h(zeta^(k+c)), each value below phi * _P**2; the engine refuses a conductor
-where phi * (_P - 1)**2 reaches the int64 guard _LIMIT.
+The canonical form picks k through the ring map h: Z[zeta_n] -> F_p, zeta ->
+omega, where p = 1 (mod n) is prime and omega a primitive n-th root of unity
+mod p (_split_prime).  As h is a ring map, h(zeta^k * e) = omega^k * h(e), so
+the pivot, the first entry of M with h != 0, sits in the same place for the
+whole orbit.  It exists: det M is a root of unity, hence a unit, while a
+matrix with every entry in the prime ker h has its determinant there.  The n
+values omega^k * h(pivot) mod p are distinct, as omega has order n and
+h(pivot) != 0; so exactly one k minimizes them, whichever orbit member M is.
+Usually the pivot is the first nonzero entry; only rows where that entry's
+image vanishes hash every entry.  p is the largest such prime with
+phi * (p - 1)**2 < 2**53, so the int64 hash values (sums of phi products of
+residues) and every omega^k * h(pivot) stay below 2**53.
 
 BFS multiplies on the right by one generator per projective class, never an
 inverse (see grouporacle for why), each product one matmul against the
@@ -36,10 +35,8 @@ exactly; so each operation BLAS performs is exact, whatever its summation
 order, blocking, FMA use or thread count, and the result is the integer
 product.  A GEMM can leave -0.0 where the integer is 0, so the canonical
 forms add 0.0 before their bytes become keys: each integer then has one bit
-pattern, and the keys stay exact and unique.  The coordinate hash (its
-values reach phi * _P**2) and the tie narrowing run on int64 copies of the
-leading entries, guarded by _LIMIT.  So Completed and Exceeded outcomes are
-fully trusted.
+pattern, and the keys stay exact and unique.  So Completed and Exceeded
+outcomes are fully trusted.
 
 Each generator's products are formed, put in canonical form and deduped in
 row blocks of _BLOCK, in frontier order, so temporaries scale with the block
@@ -54,6 +51,7 @@ describe the identical element set.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,11 +61,6 @@ from .exactfield import CycNumber, _ctx
 
 # every integer a float64 matmul forms stays below this, so binary64 holds it exactly
 _EXACT = 1 << 53
-# the int64 hash and tie narrowing keep one bit of headroom below the int64 ceiling
-_LIMIT = 1 << 62
-# the canonical form's coordinate hash: a prime modulus and the base of its weights
-_P = 33_554_393
-_W = 19_260_817
 # frontier rows multiplied, put in canonical form and deduped together
 _BLOCK = 512
 
@@ -109,33 +102,45 @@ def _power_rows(conductor: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _scalar_orbit(conductor: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The float64 window scal[k][i] = coords of zeta^(k+i), the int64 window
-    scal_cols[i][j, k] = coordinate i of zeta^(k+j), and their largest
+def _scalar_orbit(conductor: int) -> tuple[np.ndarray, int]:
+    """The float64 window scal[k][i] = coords of zeta^(k+i) and its largest
     absolute coordinate."""
     rows = _power_rows(conductor)
-    phi = rows.shape[1]
-    scal = sliding_window_view(rows.astype(np.float64), phi, axis=0).transpose(0, 2, 1)
-    scal_cols = sliding_window_view(rows, phi, axis=0).transpose(1, 2, 0)
-    return scal, scal_cols, _magnitude(rows)
+    scal = sliding_window_view(rows.astype(np.float64), rows.shape[1], axis=0)
+    return scal.transpose(0, 2, 1), _magnitude(rows)
 
 
 @lru_cache(maxsize=None)
-def _hash_table(conductor: int, p: int, w: int) -> np.ndarray:
-    """hash_table[c, k] = h(zeta^(k+c)), a window over the hashes of zeta^m."""
-    rows = _power_rows(conductor)
-    weights = np.array([pow(w, i + 1, p) for i in range(rows.shape[1])], dtype=np.int64)
-    return sliding_window_view((rows % p) @ weights % p, conductor)
+def _split_prime(conductor: int, phi: int) -> tuple[int, int]:
+    """The largest prime p = 1 (mod conductor) with phi * (p - 1)**2 < 2**53,
+    and the least primitive conductor-th root of unity omega mod p."""
+    factors = [q for q in range(2, conductor + 1) if conductor % q == 0 and _is_prime(q)]
+    for m in range(isqrt((_EXACT - 1) // phi) // conductor, 0, -1):
+        p = m * conductor + 1
+        if _is_prime(p):
+            for g in range(2, p):
+                omega = pow(g, m, p)
+                if all(pow(omega, conductor // q, p) != 1 for q in factors):
+                    return p, omega
+    raise Unsuitable(f"no prime p = 1 mod {conductor} keeps phi * (p - 1)**2 below 2**53")
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % q for q in range(2, isqrt(m) + 1))
 
 
 class _Engine:
     def __init__(self, conductor: int, dim: int) -> None:
         self.dim = dim
         self.phi = phi = _ctx(conductor).phi
-        self.scal, self.scal_cols, self.scal_max = _scalar_orbit(conductor)
-        if phi * (_P - 1) ** 2 >= _LIMIT:
-            raise Unsuitable("coordinate hash would overflow")
-        self.hash_table = _hash_table(conductor, _P, _W)
+        self.scal, self.scal_max = _scalar_orbit(conductor)
+        self.p, omega = _split_prime(conductor, phi)
+        # omega^k mod p for k < n; the first phi are the weights of h
+        self.omega = np.array([pow(omega, k, self.p) for k in range(conductor)], dtype=np.int64)
+
+    def _hash(self, coords: np.ndarray) -> np.ndarray:
+        """h(v) = (sum_i v_i * omega^i) mod p over the last axis, in int64."""
+        return (coords.astype(np.int64) % self.p) @ self.omega[: self.phi] % self.p
 
     def canonical_batch(self, mats: np.ndarray) -> np.ndarray:
         """Orbit-minimal form of each matrix in the batch, with no -0.0."""
@@ -144,23 +149,17 @@ class _Engine:
         flat = mats.reshape(len(mats), -1, self.phi)
         # the first nonzero coordinate lies in the first nonzero entry
         first = (mats.reshape(len(mats), -1) != 0).argmax(axis=1) // self.phi
-        lead = flat[np.arange(len(mats)), first].astype(np.int64)
-        # h(zeta^k * lead) for every k at once
-        hashed = (lead % _P) @ self.hash_table
-        hashed %= _P
-        cand = hashed == hashed.min(axis=1, keepdims=True)
-        ties = np.flatnonzero(cand.sum(axis=1) > 1)
-        if len(ties):
-            # narrow the tied k one coordinate of zeta^k * lead at a time;
-            # the guard keeps every candidate value below _LIMIT
-            tied, tied_lead = cand[ties], lead[ties]
-            for cols in self.scal_cols:
-                vals = np.where(tied, tied_lead @ cols, _LIMIT)
-                tied = vals == vals.min(axis=1, keepdims=True)
-                if tied.sum(axis=1).max() == 1:
-                    break
-            cand[ties] = tied
-        out = flat @ self.scal[cand.argmax(axis=1)]
+        pivot = self._hash(flat[np.arange(len(mats)), first])
+        vanish = np.flatnonzero(pivot == 0)
+        if len(vanish):
+            # that entry lies in ker h: the pivot is the first entry outside it
+            hashed = self._hash(flat[vanish])
+            if not hashed.any(axis=1).all():
+                raise Unsuitable("every entry lies in the kernel of the reduction")
+            pivot[vanish] = hashed[np.arange(len(vanish)), (hashed != 0).argmax(axis=1)]
+        # the n values omega^k * h(pivot) are distinct: one k is least
+        k = (pivot[:, None] * self.omega % self.p).argmin(axis=1)
+        out = flat @ self.scal[k]
         out += 0.0  # -0.0 + 0.0 is +0.0: one bit pattern per integer key
         return out.reshape(mats.shape)
 

@@ -31,14 +31,13 @@ from .verdict import _D4_ACHIEVABLE, FINITE, INFINITE, UNDECIDABLE, Verdict, cla
 
 @dataclass(frozen=True)
 class QGFamily:
-    """One braiding family: template exponents, validity range, whether the
-    reproduction builds matrices, and the representation choice."""
+    """One braiding family: template exponents, validity range, and the
+    representation choice that the reproduction's matrices need."""
 
     name: str
     dim: int
     # (k, negative) encodes (+-1) * q^k
     template: tuple[tuple[int, bool], ...]
-    has_builder: bool
     # defined for ell >= min_divisible when modulus | ell, else for
     # ell >= min_other (None: never)
     modulus: int
@@ -52,6 +51,12 @@ class QGFamily:
         least = self.min_divisible if ell % self.modulus == 0 else self.min_other
         return least is not None and ell >= least
 
+    @property
+    def has_builder(self) -> bool:
+        """Whether the reproduction builds matrices: the recorded discrete
+        choice (gamma^2 in dim 4, gamma in dim 5) pins them down."""
+        return self.gamma_squared is not None or self.gamma is not None
+
 
 FAMILIES: dict[str, QGFamily] = {
     f.name: f
@@ -60,7 +65,6 @@ FAMILIES: dict[str, QGFamily] = {
             "G2",
             4,
             ((-12, False), (2, False), (-6, True), (0, True)),
-            False,
             modulus=3,
             min_divisible=18,
             min_other=10,
@@ -69,7 +73,6 @@ FAMILIES: dict[str, QGFamily] = {
             "F4",
             5,
             ((-24, False), (-12, False), (2, False), (0, True), (-6, True)),
-            False,
             modulus=2,
             min_divisible=22,
             min_other=15,
@@ -78,7 +81,6 @@ FAMILIES: dict[str, QGFamily] = {
             "SO7spin",
             4,
             ((0, False), (12, False), (6, True), (10, True)),
-            True,
             modulus=2,
             min_divisible=14,
             min_other=None,
@@ -90,7 +92,6 @@ FAMILIES: dict[str, QGFamily] = {
             "SO9spin",
             5,
             ((0, False), (8, False), (14, True), (18, True), (20, False)),
-            True,
             modulus=2,
             min_divisible=18,
             min_other=None,
@@ -131,14 +132,14 @@ def qg_spec(family: QGFamily | str, ell: int) -> EigenSpec:
 
 def build_so7(ell: int) -> tuple[CycMatrix, CycMatrix]:
     """The 4x4 spin-representation pair at even level ell >= 14 (D = +q^4)."""
-    if ell % 2 != 0 or ell < 14:
+    if not FAMILIES["SO7spin"].valid(ell):
         raise InvalidRange(f"ell must be even and >= 14, got {ell}")
     return build(qg_spec("SO7spin", ell))
 
 
 def build_so9(ell: int) -> tuple[CycMatrix, CycMatrix]:
     """The 5x5 spin-representation pair at even level ell >= 18 (gamma = q^12)."""
-    if ell % 2 != 0 or ell < 18:
+    if not FAMILIES["SO9spin"].valid(ell):
         raise InvalidRange(f"ell must be even and >= 18, got {ell}")
     return build(qg_spec("SO9spin", ell))
 

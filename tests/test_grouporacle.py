@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
-from itertools import product
+from itertools import count, product
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 import b3image
 from b3image import _fastclosure, grouporacle
@@ -259,15 +261,40 @@ def test_fast_engine_overflow_falls_back_to_exact():
         assert result.stats["engine"] == "exact"
 
 
-def test_fast_engine_refuses_a_hash_that_could_overflow(monkeypatch):
-    # with a modulus of 2^31, phi * (P - 1)^2 passes 2^62 once phi >= 2
-    monkeypatch.setattr(_fastclosure, "_P", 1 << 31)
-    gens = list(build_d3(RootOfUnity.of(1, 3), RootOfUnity.of(2, 3)))
-    with pytest.raises(_fastclosure.Unsuitable, match="hash"):
-        _fastclosure.run(gens, [g.det() for g in gens], 1000)
-    result = projective_closure(gens, 1000)
-    assert result.outcome == COMPLETED and result.order == 12
-    assert result.stats["engine"] == "exact"
+def test_split_prime_splits_every_conductor_up_to_the_builder_cap():
+    for n in range(2, 513, 2):
+        coeffs = cyclotomic_polynomial(n)
+        phi = len(coeffs) - 1
+        p, omega = _fastclosure._split_prime(n, phi)
+        assert sympy.isprime(p) and p % n == 1
+        assert phi * (p - 1) ** 2 < 2**53
+        # the largest such prime: every larger candidate under the bound is composite
+        top = isqrt((2**53 - 1) // phi) + 1
+        assert not any(sympy.isprime(q) for q in range(p + n, top + 1, n))
+        assert len({pow(omega, k, p) for k in range(n)}) == n
+        assert sum(c * pow(omega, i, p) for i, c in enumerate(coeffs)) % p == 0
+
+
+def test_split_prime_refuses_a_bound_no_prime_fits():
+    # phi * (p - 1)^2 < 2^53 leaves p <= 3, and p = 1 (mod 14) needs p > 14
+    with pytest.raises(_fastclosure.Unsuitable, match="no prime"):
+        _fastclosure._split_prime(14, 2**50)
+
+
+def test_fast_canonical_form_refuses_a_batch_inside_the_kernel():
+    # every entry of p * I lies in the prime ker h, so no pivot exists
+    eng = _fastclosure._Engine(14, 4)
+    batch = np.zeros((2, 4, 4, eng.phi))
+    batch[:, range(4), range(4), 0] = 1
+    batch[1] *= eng.p
+    with pytest.raises(_fastclosure.Unsuitable, match="kernel"):
+        eng.canonical_batch(batch)
+
+
+def _smallest_split_prime(n, phi):
+    """The smallest prime p = 1 (mod n) and a root of unity of order n mod p."""
+    p = next(q for q in count(n + 1, n) if sympy.isprime(q))
+    return p, next(w for w in range(2, p) if sympy.n_order(w, p) == n)
 
 
 def _brute_orbit(mat, n):
@@ -283,22 +310,22 @@ def _brute_orbit(mat, n):
     return orbit
 
 
-def _hash(coords):
-    """h(v) = (sum of w_i * v_i) mod P with w_i = W**(i+1) mod P, in Python ints."""
-    p, w = _fastclosure._P, _fastclosure._W
-    return sum(pow(w, i + 1, p) * int(v) for i, v in enumerate(coords)) % p
+def _h(coords, p, omega):
+    """h(v) = (sum of v_i * omega^i) mod p, in Python ints."""
+    return sum(int(v) * pow(omega, i, p) for i, v in enumerate(coords)) % p
 
 
-def _brute_canonical(mat, n):
-    """Least member of the scalar orbit of mat under the key (hash of the
-    first nonzero entry, flattened coordinates)."""
+def _brute_canonical(mat, n, p, omega):
+    """Least member of the scalar orbit of mat under h(pivot), where the
+    pivot is the first entry whose h is nonzero."""
 
     def key(m):
-        entries = m.reshape(-1, m.shape[-1])
-        lead = entries[entries.any(axis=1).argmax()]
-        return _hash(lead), entries.ravel().tolist()
+        return next(v for v in (_h(e, p, omega) for e in m.reshape(-1, m.shape[-1])) if v)
 
-    return min(_brute_orbit(mat, n), key=key)
+    orbit = _brute_orbit(mat, n)
+    keys = [key(m) for m in orbit]
+    assert len(set(keys)) == n
+    return orbit[keys.index(min(keys))]
 
 
 def _tensors_and_products(gens):
@@ -320,21 +347,39 @@ CANONICAL_CASES = pytest.mark.parametrize(
 )
 
 
-def _check_canonical_forms(gens):
+def _zeroed(n, dim, phi):
+    """Integer tensors whose leading entries are zero, down to a single
+    nonzero entry in the last place."""
+    rng = np.random.default_rng(n)
+    mats = rng.integers(-3, 4, size=(dim * dim, dim, dim, phi))
+    for z, m in enumerate(mats):
+        m.reshape(dim * dim, phi)[:z] = 0
+        m[-1, -1, 0] = 1
+    return mats
+
+
+def _sheared_into_the_kernel(mats, p, omega):
+    """E * m for each m whose (1, 0) entry has h != 0, with E = I + c * E_01
+    and the integer c chosen so that the (0, 0) entry of E * m lies in ker h.
+    det E = 1, so group elements stay of unit determinant."""
+    out = []
+    for m in mats:
+        below = _h(m[1, 0], p, omega)
+        if below:
+            m = m.copy()
+            m[0] += (-_h(m[0, 0], p, omega) * pow(below, -1, p) % p) * m[1]
+            out.append(m)
+    return np.stack(out)
+
+
+def _check_canonical_forms(gens, mats):
     """Every member of each scalar orbit maps to the brute-force minimum."""
     n, dim = gens[0].conductor, gens[0].dim
     eng = _fastclosure._Engine(n, dim)
-    mats = _tensors_and_products(gens)
-    # integer tensors whose leading entries are zero, down to a single
-    # nonzero entry in the last place
-    rng = np.random.default_rng(n)
-    zeroed = rng.integers(-3, 4, size=(dim * dim, dim, dim, eng.phi))
-    for z, m in enumerate(zeroed):
-        m.reshape(dim * dim, eng.phi)[:z] = 0
-        m[-1, -1, 0] = 1
-    for mat in np.concatenate([mats, zeroed]):
+    p, omega = _fastclosure._split_prime(n, eng.phi)
+    for mat in mats:
         orbit = _brute_orbit(mat, n)
-        want = _brute_canonical(mat, n)
+        want = _brute_canonical(mat, n, p, omega)
         got = eng.canonical_batch(np.stack(orbit))
         for form in got:
             assert np.array_equal(form, want)
@@ -342,15 +387,24 @@ def _check_canonical_forms(gens):
 
 @CANONICAL_CASES
 def test_fast_canonical_form_is_the_orbit_minimum(gens):
-    _check_canonical_forms(gens)
+    n, dim = gens[0].conductor, gens[0].dim
+    phi = len(cyclotomic_polynomial(n)) - 1
+    mats = _tensors_and_products(gens)
+    _check_canonical_forms(gens, np.concatenate([mats, _zeroed(n, dim, phi)]))
 
 
 @CANONICAL_CASES
-def test_fast_canonical_form_breaks_hash_ties_by_coordinates(gens, monkeypatch):
-    # modulo 2 the hash takes two values, so most orbits tie on it and the
-    # lexicographic narrowing decides
-    monkeypatch.setattr(_fastclosure, "_P", 2)
-    _check_canonical_forms(gens)
+def test_fast_canonical_form_under_a_tiny_prime(gens, monkeypatch):
+    # with p = 1 (mod n) as small as it goes; group elements of unit
+    # determinant always have a pivot, and the shears move it past a first
+    # nonzero entry that lies in ker h
+    monkeypatch.setattr(_fastclosure, "_split_prime", _smallest_split_prime)
+    n = gens[0].conductor
+    mats = _tensors_and_products(gens)
+    p, omega = _smallest_split_prime(n, mats.shape[-1])
+    sheared = _sheared_into_the_kernel(mats, p, omega)
+    assert any(m[0, 0].any() for m in sheared)
+    _check_canonical_forms(gens, np.concatenate([mats, sheared]))
 
 
 def test_fast_multiply_matches_exact_product():
@@ -412,19 +466,43 @@ def test_fast_canonical_form_has_no_negative_zero(gens):
 
 
 @pytest.mark.parametrize(
-    "gens, bound, want",
+    "gens, bound, want, split_prime",
     [
-        (build_so7(14), 1000, (COMPLETED, 168, 336, 32)),
-        (build_so9(22), 1000, (COMPLETED, 660, 1320, 139)),
-        (build_so7(16), 100, (EXCEEDED, None, 124, 32)),
-        (build_so9(20), 100, (EXCEEDED, None, 124, 32)),
-        (build_d4_block(RootOfUnity.of(1, 7), -1), 100, (EXCEEDED, None, 124, 32)),
+        (build_so7(14), 1000, (COMPLETED, 168, 336, 32), None),
+        (build_so9(22), 1000, (COMPLETED, 660, 1320, 139), None),
+        (build_so7(16), 100, (EXCEEDED, None, 124, 32), None),
+        (build_so9(20), 100, (EXCEEDED, None, 124, 32), None),
+        (build_d4_block(RootOfUnity.of(1, 7), -1), 100, (EXCEEDED, None, 124, 32), None),
+        # the smallest split prime makes many pivots vanish
+        (build_so7(14), 1000, (COMPLETED, 168, 336, 32), _smallest_split_prime),
+        (build_so9(22), 1000, (COMPLETED, 660, 1320, 139), _smallest_split_prime),
+        (build_so9(20), 5000, (EXCEEDED, None, 6374, 1506), _smallest_split_prime),
+        (
+            build_d4_block(RootOfUnity.of(1, 7), -1),
+            100,
+            (EXCEEDED, None, 124, 32),
+            _smallest_split_prime,
+        ),
     ],
-    ids=["so7(14)", "so9(22)", "so7(16)@100", "so9(20)@100", "d4block(1/7,-1)@100"],
+    ids=[
+        "so7(14)",
+        "so9(22)",
+        "so7(16)@100",
+        "so9(20)@100",
+        "d4block(1/7,-1)@100",
+        "so7(14),tiny-p",
+        "so9(22),tiny-p",
+        "so9(20)@5000,tiny-p",
+        "d4block(1/7,-1)@100,tiny-p",
+    ],
 )
-def test_fast_closure_does_not_depend_on_the_row_block(gens, bound, want, monkeypatch):
+def test_fast_closure_does_not_depend_on_the_row_block(
+    gens, bound, want, split_prime, monkeypatch
+):
     # the bound is checked after each generator's whole batch, so a batch
     # that crosses it in an early block still runs and counts every block
+    if split_prime is not None:
+        monkeypatch.setattr(_fastclosure, "_split_prime", split_prime)
     for block in (_fastclosure._BLOCK, 7, 1):
         monkeypatch.setattr(_fastclosure, "_BLOCK", block)
         result = projective_closure(list(gens), bound)
