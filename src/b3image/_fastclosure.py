@@ -23,25 +23,42 @@ residues) and every omega^k * h(pivot) stay below 2**53.
 
 BFS multiplies on the right by one generator per projective class, never an
 inverse (see grouporacle for why), each product one matmul against the
-generator's table of right multiplication.  The generators, tables, scalar
-orbit, frontier, products and canonical forms are float64 arrays that hold
-integers, so the products and the canonical scaling run as BLAS GEMMs.  This
-is exact under one bound, _EXACT = 2**53: before every such matmul a guard
-checks that (largest |left entry|) * (largest |right entry|) * (length of the
-dot product) stays below _EXACT, else the engine raises Unsuitable.  Below
-the bound every product of two entries and every partial sum of a dot
-product is an integer of absolute value under 2**53, which binary64 holds
-exactly; so each operation BLAS performs is exact, whatever its summation
-order, blocking, FMA use or thread count, and the result is the integer
-product.  A GEMM can leave -0.0 where the integer is 0, so the canonical
-forms add 0.0 before their bytes become keys: each integer then has one bit
-pattern, and the keys stay exact and unique.  So Completed and Exceeded
+generator's table of right multiplication; one GEMM builds every generator's
+table.  The generators, tables, scalar orbit, frontier, products and
+canonical forms are float64 arrays that hold integers, so the products and
+the canonical scaling run as BLAS GEMMs.  This is exact under one bound,
+_EXACT = 2**53: before every such matmul a guard checks that (largest |left
+entry|) * (largest |right entry|) * (length of the dot product) stays below
+_EXACT, else the engine raises Unsuitable.  Below the bound every product of
+two entries and every partial sum of a dot product is an integer of absolute
+value under 2**53, which binary64 holds exactly; so each operation BLAS
+performs is exact, whatever its summation order, blocking, FMA use or thread
+count, and the result is the integer product.  So Completed and Exceeded
 outcomes are fully trusted.
 
-Each generator's products are formed, put in canonical form and deduped in
-row blocks of _BLOCK, in frontier order, so temporaries scale with the block
-and not with the frontier; the bound is checked after each generator's whole
-batch, which keeps every count independent of _BLOCK.
+Each BFS level runs in row blocks of _BLOCK frontier rows, so temporaries
+scale with the block and not with the frontier.  A level that cannot pass the
+bound, because even G new elements per frontier row (G generators) keep the
+count within it, runs as one group: each block is multiplied by every
+generator at once, under one guard on the largest table entry, and put in
+canonical form and deduped in one round.  Any other level runs generator by
+generator, each pass over every block guarded by that generator's own table,
+with the bound checked after each generator's whole batch.  No count depends
+on this choice or on _BLOCK: what the first g generators add to a level is a
+set that no order of frontier rows changes; a grouped level forms every
+product, and trips a guard exactly when, the per-generator passes would,
+since the largest table entry is the largest of theirs; and a level that
+may pass the bound runs the per-generator passes themselves.
+
+The visited set keys each canonical form by its coordinates cast to the
+narrowest of int8, int16, int32 and float64 that holds every coordinate seen
+so far in the closure.  A block with a coordinate past the current type's
+range widens it, and the stored keys are re-keyed at the new type once, so
+all keys share one type; three widenings at most.  Within one type the cast
+of an integer is injective, so two keys are equal exactly when their forms
+are.  A GEMM can leave -0.0 where the integer is 0, so the canonical forms
+add 0.0: each integer then has one float64 bit pattern, which keeps the
+float64 keys, and the generator classes keyed on float64 bytes, exact too.
 
 Everything here is an internal accelerator.  grouporacle falls back to the
 exact CycMatrix engine when Unsuitable is raised; completed outcomes always
@@ -63,6 +80,13 @@ from .exactfield import CycNumber, _ctx
 _EXACT = 1 << 53
 # frontier rows multiplied, put in canonical form and deduped together
 _BLOCK = 512
+# key types, narrowest first, each beside the least magnitude it cannot hold
+_KEY_WIDTHS = (
+    (1 << 7, np.dtype(np.int8)),
+    (1 << 15, np.dtype(np.int16)),
+    (1 << 31, np.dtype(np.int32)),
+    (_EXACT, np.dtype(np.float64)),
+)
 
 
 class Unsuitable(Exception):
@@ -150,9 +174,9 @@ class _Engine:
         # the first nonzero coordinate lies in the first nonzero entry
         first = (mats.reshape(len(mats), -1) != 0).argmax(axis=1) // self.phi
         pivot = self._hash(flat[np.arange(len(mats)), first])
-        vanish = np.flatnonzero(pivot == 0)
-        if len(vanish):
+        if not pivot.all():
             # that entry lies in ker h: the pivot is the first entry outside it
+            vanish = np.flatnonzero(pivot == 0)
             hashed = self._hash(flat[vanish])
             if not hashed.any(axis=1).all():
                 raise Unsuitable("every entry lies in the kernel of the reduction")
@@ -163,21 +187,46 @@ class _Engine:
         out += 0.0  # -0.0 + 0.0 is +0.0: one bit pattern per integer key
         return out.reshape(mats.shape)
 
-    def table(self, gen: np.ndarray) -> tuple[np.ndarray, int]:
-        """Right multiplication by gen as one (d*phi) x (d*phi) matrix: the
-        entry at row (c, p), column (b, i) is coordinate i of zeta^p * gen[c, b]."""
+    def tables(self, gens: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Right multiplication by each generator as one (d*phi) x (d*phi)
+        matrix, stacked, and each table's largest absolute entry: the entry
+        at row (c, p), column (b, i) is coordinate i of zeta^p * gen[c, b]."""
         d, phi = self.dim, self.phi
-        if _magnitude(gen) * self.scal_max * phi >= _EXACT:
+        if _magnitude(gens) * self.scal_max * phi >= _EXACT:
             raise Unsuitable("multiplication table would overflow")
-        table = np.einsum("cbj,pji->cpbi", gen, self.scal[:phi])
-        table = table.reshape(d * phi, d * phi)
-        return table, _magnitude(table)
+        # scal[p, j, i] as rows j, columns (p, i): one GEMM for every entry
+        window = self.scal[:phi].transpose(1, 0, 2).reshape(phi, phi * phi)
+        tables = (gens.reshape(-1, phi) @ window).reshape(len(gens), d, d, phi, phi)
+        tables = tables.transpose(0, 1, 3, 2, 4).reshape(len(gens), d * phi, d * phi)
+        return tables, [_magnitude(table) for table in tables]
 
-    def multiply(self, batch: np.ndarray, table: np.ndarray, table_max: int) -> np.ndarray:
+    def multiply(self, batch: np.ndarray, tables: np.ndarray, table_max: int) -> np.ndarray:
+        """Products of every batch row with every table, generator-major:
+        out[g, r] = batch[r] * gen_g; table_max bounds every table's entries."""
         d, phi = self.dim, self.phi
         if _magnitude(batch) * table_max * d * phi >= _EXACT:
             raise Unsuitable("product would overflow")
-        return (batch.reshape(-1, d * phi) @ table).reshape(batch.shape)
+        out = np.empty((len(tables),) + batch.shape)
+        np.matmul(batch.reshape(-1, d * phi), tables, out=out.reshape(len(tables), -1, d * phi))
+        return out
+
+
+def _key_width(magnitude: int) -> tuple[int, np.dtype]:
+    """The narrowest key type that holds every integer of absolute value at
+    most magnitude, and the magnitude it first fails to hold."""
+    return next((limit, dtype) for limit, dtype in _KEY_WIDTHS if magnitude < limit)
+
+
+def _keys(rows: np.ndarray, dtype: np.dtype) -> list[bytes]:
+    """One key per row: its coordinates cast to dtype, as one byte string."""
+    flat = rows.reshape(len(rows), -1).astype(dtype)
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
+
+
+def _rekey(keys: set[bytes], old: np.dtype, new: np.dtype) -> set[bytes]:
+    """The same rows keyed at a wider type."""
+    rows = np.frombuffer(b"".join(keys), dtype=old).reshape(len(keys), -1)
+    return set(_keys(rows, new))
 
 
 def run(
@@ -198,34 +247,43 @@ def run(
         raise Unsuitable("generator determinant is not a root of unity")
     eng = _Engine(n, mats[0].dim)
 
-    raw = np.stack([_tensor(m, eng.phi) for m in mats])
-    # one generator per projective class, the first of each in given order
-    classes: dict[bytes, np.ndarray] = {}
-    for form, gen in zip(eng.canonical_batch(raw), raw):
-        classes.setdefault(form.tobytes(), gen)
-    tables = [eng.table(t) for t in classes.values()]
-
     ident = np.zeros((1, eng.dim, eng.dim, eng.phi))
     ident[0, :, :, 0] = np.eye(eng.dim)
-    frontier = eng.canonical_batch(ident)
-    visited: set[bytes] = {frontier.tobytes()}
+    raw = np.stack([_tensor(m, eng.phi) for m in mats])
+    forms = eng.canonical_batch(np.concatenate([ident, raw]))
+    # one generator per projective class, the first of each in given order
+    classes: dict[bytes, np.ndarray] = {}
+    for form, gen in zip(forms[1:], raw):
+        classes.setdefault(form.tobytes(), gen)
+    tables, table_maxes = eng.tables(np.stack(list(classes.values())))
+    # the passes of one level: every generator at once, or one at a time
+    grouped = [(tables, max(table_maxes))]
+    one_by_one = [(tables[g : g + 1], top) for g, top in enumerate(table_maxes)]
+
+    frontier = forms[:1]
+    limit, dtype = _key_width(_magnitude(frontier))
+    visited: set[bytes] = set(_keys(frontier, dtype))
     stats = {"products": 0, "peak_frontier": 1, "engine": "fast"}
     while len(frontier):
         fresh: list[np.ndarray] = []
-        for table, table_max in tables:
+        # grouped only when even len(tables) new keys per row stay within the bound
+        passes = grouped if len(visited) + len(tables) * len(frontier) <= bound else one_by_one
+        for group_tables, group_max in passes:
             for start in range(0, len(frontier), _BLOCK):
                 block = frontier[start : start + _BLOCK]
-                canon = eng.canonical_batch(eng.multiply(block, table, table_max))
-                keys = canon.tobytes()
-                step = len(keys) // len(canon)
-                new = []
-                for i in range(len(canon)):
-                    key = keys[i * step : (i + 1) * step]
-                    if key not in visited:
-                        visited.add(key)
-                        new.append(i)
+                prods = eng.multiply(block, group_tables, group_max)
+                canon = eng.canonical_batch(prods.reshape(-1, *block.shape[1:]))
+                top = _magnitude(canon)
+                if top >= limit:
+                    # all keys share one type: store them again at the wider one
+                    narrow = dtype
+                    limit, dtype = _key_width(top)
+                    visited = _rekey(visited, narrow, dtype)
+                keys = _keys(canon, dtype)
+                # set.add returns None: each key is tested, then added
+                new = [i for i, key in enumerate(keys) if not (key in visited or visited.add(key))]
                 fresh.append(canon[new])
-            stats["products"] += len(frontier)
+            stats["products"] += len(group_tables) * len(frontier)
             if len(visited) > bound:
                 return False, len(visited), stats
         frontier = np.concatenate(fresh)

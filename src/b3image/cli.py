@@ -38,6 +38,9 @@ _SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 _SWEEP_COLUMNS = ("dim", "eigenvalues", "po", "pattern", "rule", "kind")
 # largest sweep, in rows, that `sweep` enumerates
 SWEEP_MAX_ROWS = 100_000
+# largest closure bound, in elements, that `closure` and `qg` accept; the
+# visited set of a closure that reaches it can take about 2 GB
+MAX_BOUND = 1_000_000
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -137,8 +140,15 @@ def _closure_generators(args: argparse.Namespace):
     return build_so7(args.ell) if args.builder == "so7" else build_so9(args.ell)
 
 
+def _bound(args: argparse.Namespace) -> int:
+    if args.bound > MAX_BOUND:
+        raise InvalidSpec(f"--bound {args.bound} is over the cap of {MAX_BOUND}")
+    return args.bound
+
+
 def cmd_closure(args: argparse.Namespace) -> int:
-    result = projective_closure(list(_closure_generators(args)), args.bound)
+    bound = _bound(args)
+    result = projective_closure(list(_closure_generators(args)), bound)
     if args.format == "json":
         text = _json_text(result.to_json())
     else:
@@ -153,7 +163,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_qg(args: argparse.Namespace) -> int:
-    report = reproduce(args.family, args.ell, args.bound)
+    report = reproduce(args.family, args.ell, _bound(args))
     if args.format == "json":
         text = _json_text(report.to_json())
     else:

@@ -189,6 +189,29 @@ def test_closure_conductor_cap(capsys):
     assert err.startswith("error:") and "conductor 514" in err
 
 
+def test_closure_and_qg_bound_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_BOUND", 200)
+    # so7(14) has 168 elements: a bound at the cap completes, one above it is refused
+    closure = ("closure", "--builder", "so7", "--ell", "14", "--bound")
+    code, out, _ = run_cli(capsys, *closure, "200")
+    assert code == EXIT_OK and "168" in out
+    qg = ("qg", "--family", "SO7spin", "--ell", "14", "--bound")
+    code, out, _ = run_cli(capsys, *qg, "200")
+    assert code == EXIT_OK and json.loads(out)["closure"]["order"] == 168
+    for argv in (closure, qg):
+        code, out, err = run_cli(capsys, *argv, "201")
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith("error:") and "--bound 201" in err and "200" in err
+
+
+def test_bound_over_a_million_is_refused_before_any_closure(capsys):
+    closure = ("closure", "--builder", "so9", "--ell", "20")
+    for argv in (closure, ("qg", "--family", "SO9spin", "--ell", "20")):
+        code, out, err = run_cli(capsys, *argv, "--bound", "1000001")
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "over the cap of 1000000" in err
+
+
 def test_closure_rejects_flags_the_builder_does_not_take(capsys):
     for builder in ("so7", "so9"):
         code, out, err = run_cli(

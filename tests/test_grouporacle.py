@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import count, product
+from itertools import combinations, count, product
 from math import isqrt
 from pathlib import Path
 
@@ -414,11 +414,30 @@ def test_fast_multiply_matches_exact_product():
     assert eng.phi > 1
     mats = [h for g in gens for h in (g, g.inv())]
     for x, y in product(mats, repeat=2):
-        table, table_max = eng.table(_fastclosure._tensor(y, eng.phi))
-        got = eng.multiply(_fastclosure._tensor(x, eng.phi)[None], table, table_max)
+        tables, table_maxes = eng.tables(_fastclosure._tensor(y, eng.phi)[None])
+        got = eng.multiply(_fastclosure._tensor(x, eng.phi)[None], tables, max(table_maxes))
         # integers carried in float64
         assert got.dtype == np.float64
-        assert np.array_equal(got[0], _fastclosure._tensor(x * y, eng.phi))
+        assert np.array_equal(got[0, 0], _fastclosure._tensor(x * y, eng.phi))
+
+
+def test_fast_multiply_stacks_generators_in_order():
+    # a two-generator stack gives each generator's single products, generator-major
+    gens = build_so9(22)
+    n, dim = gens[0].conductor, gens[0].dim
+    eng = _fastclosure._Engine(n, dim)
+    mats = [h for g in gens for h in (g, g.inv())]
+    batch = np.stack([_fastclosure._tensor(m, eng.phi) for m in mats])
+    stack = np.stack([_fastclosure._tensor(g, eng.phi) for g in gens])
+    tables, table_maxes = eng.tables(stack)
+    got = eng.multiply(batch, tables, max(table_maxes))
+    assert got.shape == (2,) + batch.shape
+    for g in range(2):
+        single, single_max = eng.tables(stack[g : g + 1])
+        assert single_max[0] == table_maxes[g]
+        assert np.array_equal(got[g], eng.multiply(batch, single, single_max[0])[0])
+        for row, m in zip(got[g], mats):
+            assert np.array_equal(row, _fastclosure._tensor(m * gens[g], eng.phi))
 
 
 def _power_of_two_table():
@@ -426,20 +445,22 @@ def _power_of_two_table():
     generator whose coordinates are all 2^10, so every table entry is +-2^10
     and a product's guard value batch_max * 2^10 * d * phi is batch_max * 2^12."""
     eng = _fastclosure._Engine(4, 2)
-    table, table_max = eng.table(np.full((2, 2, eng.phi), 2.0**10))
-    assert table_max == 2**10 and np.all(np.abs(table) == 2**10)
-    return eng, table, table_max
+    tables, table_maxes = eng.tables(np.full((1, 2, 2, eng.phi), 2.0**10))
+    table_max = table_maxes[0]
+    assert table_max == 2**10 and np.all(np.abs(tables) == 2**10)
+    return eng, tables, table_max
 
 
 def test_fast_multiply_is_exact_just_under_two_to_the_53():
-    eng, table, table_max = _power_of_two_table()
+    eng, tables, table_max = _power_of_two_table()
+    table = tables[0]
     top = 2**41 - 1  # guard value 2^53 - 2^12
     rng = np.random.default_rng(53)
     batch = rng.integers(-top, top + 1, size=(64, 2, 2, eng.phi)).astype(np.float64)
     # rows signed like a table column reach the guard value in one dot product
     signs = np.sign(table.T[:2]).reshape(2, 2, eng.phi)
     batch[0], batch[1] = top * signs, -top * signs
-    got = eng.multiply(batch, table, table_max)
+    got = eng.multiply(batch, tables, table_max)[0]
     rows = batch.astype(np.int64).astype(object).reshape(-1, 4)
     want = rows @ table.astype(np.int64).astype(object)
     assert [int(v) for v in got.ravel()] == want.ravel().tolist()
@@ -448,11 +469,11 @@ def test_fast_multiply_is_exact_just_under_two_to_the_53():
 
 
 def test_fast_multiply_refuses_a_product_at_two_to_the_53():
-    eng, table, table_max = _power_of_two_table()
+    eng, tables, table_max = _power_of_two_table()
     batch = np.zeros((1, 2, 2, eng.phi))
     batch[0, 0, 0, 0] = 2**41  # guard value exactly 2^53
     with pytest.raises(_fastclosure.Unsuitable, match="product would overflow"):
-        eng.multiply(batch, table, table_max)
+        eng.multiply(batch, tables, table_max)
 
 
 @CANONICAL_CASES
@@ -509,6 +530,128 @@ def test_fast_closure_does_not_depend_on_the_row_block(
         stats = result.stats
         got = (result.outcome, result.order, stats["products"], stats["peak_frontier"])
         assert got == want and stats["engine"] == "fast"
+
+
+# (first bound, last bound, (outcome, order, products, peak_frontier,
+# engine)) for every bound from 1 to 150, frozen from the engine that ran
+# each BFS level generator by generator; so7(16) and d4block(1/7,-1) share it
+FROZEN_COUNTS = [
+    (1, 1, (EXCEEDED, None, 1, 1, "fast")),
+    (2, 2, (EXCEEDED, None, 2, 1, "fast")),
+    (3, 4, (EXCEEDED, None, 4, 2, "fast")),
+    (5, 6, (EXCEEDED, None, 6, 2, "fast")),
+    (7, 10, (EXCEEDED, None, 10, 4, "fast")),
+    (11, 13, (EXCEEDED, None, 14, 4, "fast")),
+    (14, 20, (EXCEEDED, None, 21, 7, "fast")),
+    (21, 25, (EXCEEDED, None, 28, 7, "fast")),
+    (26, 37, (EXCEEDED, None, 40, 12, "fast")),
+    (38, 45, (EXCEEDED, None, 52, 12, "fast")),
+    (46, 64, (EXCEEDED, None, 72, 20, "fast")),
+    (65, 77, (EXCEEDED, None, 92, 20, "fast")),
+    (78, 108, (EXCEEDED, None, 124, 32, "fast")),
+    (109, 129, (EXCEEDED, None, 156, 32, "fast")),
+    (130, 150, (EXCEEDED, None, 208, 52, "fast")),
+]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [build_so7(16), build_d4_block(RootOfUnity.of(1, 7), -1)],
+    ids=["so7(16)", "d4block(1/7,-1)"],
+)
+def test_fast_closure_counts_across_the_level_grouping(gens):
+    # a level runs grouped only while it cannot pass the bound; sweeping the
+    # bound puts the switch at every level and every generator of it
+    for first, last, want in FROZEN_COUNTS:
+        for bound in range(first, last + 1):
+            result = projective_closure(list(gens), bound)
+            stats = result.stats
+            got = (result.outcome, result.order, stats["products"], stats["peak_frontier"])
+            assert got + (stats["engine"],) == want, bound
+
+
+def _counting(calls, name, method):
+    def counted(*args):
+        calls[name] += 1
+        return method(*args)
+
+    return counted
+
+
+def test_fast_closure_forms_one_canonical_batch_per_level(monkeypatch):
+    # so7(14) closes in 11 BFS levels, the last finding nothing new; every
+    # frontier fits one block, and no level can pass the bound
+    calls = {"canonical_batch": 0, "multiply": 0}
+    for name in calls:
+        method = getattr(_fastclosure._Engine, name)
+        monkeypatch.setattr(_fastclosure._Engine, name, _counting(calls, name, method))
+    result = projective_closure(list(build_so7(14)), 1000)
+    assert (result.outcome, result.order) == (COMPLETED, 168)
+    assert calls == {"canonical_batch": 1 + 11, "multiply": 11}
+
+
+@pytest.mark.parametrize("dtype", [dtype for _, dtype in _fastclosure._KEY_WIDTHS], ids=str)
+def test_keys_are_equal_exactly_when_rows_are(dtype):
+    top = int(np.iinfo(dtype).max) if dtype.kind == "i" else 2**53 - 1
+    rng = np.random.default_rng(top % 1000)
+    rows = rng.choice([-top, -1, 0, 1, top], size=(40, 2, 2, 1)).astype(np.float64)
+    rows = np.concatenate([rows, rows[::4]])
+    keys = _fastclosure._keys(rows, dtype)
+    assert {len(key) for key in keys} == {4 * dtype.itemsize}
+    for i, j in product(range(len(rows)), repeat=2):
+        assert (keys[i] == keys[j]) == np.array_equal(rows[i], rows[j])
+
+
+def test_rekeying_matches_keying_at_the_wider_type():
+    rng = np.random.default_rng(31)
+    for old, new in combinations(_fastclosure._KEY_WIDTHS, 2):
+        limit, old_type = old
+        rows = rng.integers(-(limit - 1), limit, size=(50, 3, 3, 2)).astype(np.float64)
+        stored = set(_fastclosure._keys(rows, old_type))
+        rekeyed = _fastclosure._rekey(stored, old_type, new[1])
+        assert rekeyed == set(_fastclosure._keys(rows, new[1]))
+        assert len(rekeyed) == len(stored)
+
+
+def test_a_coordinate_past_int32_falls_back_to_float64_keys():
+    cases = [(2**7 - 1, np.int8), (2**7, np.int16), (2**15, np.int32), (2**31 - 1, np.int32)]
+    cases += [(2**31, np.float64), (2**53 - 1, np.float64)]
+    for magnitude, dtype in cases:
+        assert _fastclosure._key_width(magnitude)[1] == np.dtype(dtype)
+    rows = np.zeros((2, 2, 2, 3))
+    rows[0, 0, 0, 0], rows[1, 1, 1, 2] = 2**31, -(2**52)
+    assert _fastclosure._keys(rows, np.dtype(np.float64)) == [row.tobytes() for row in rows]
+
+
+@pytest.mark.parametrize(
+    "widths, want",
+    [
+        (None, [(np.int8, np.int16), (np.int16, np.int32)]),
+        # widths so narrow that the closure ends on float64 keys
+        (
+            ((2, np.int8), (4, np.int16), (8, np.int32), (2**53, np.float64)),
+            [(np.int8, np.int16), (np.int16, np.float64)],
+        ),
+    ],
+    ids=["int8-int16-int32", "to-float64"],
+)
+def test_so9_20_widens_its_keys_and_keeps_its_counts(widths, want, monkeypatch):
+    if widths is not None:
+        widths = tuple((limit, np.dtype(dtype)) for limit, dtype in widths)
+        monkeypatch.setattr(_fastclosure, "_KEY_WIDTHS", widths)
+    widened = []
+    rekey = _fastclosure._rekey
+
+    def logged(keys, old, new):
+        widened.append((old, new))
+        return rekey(keys, old, new)
+
+    monkeypatch.setattr(_fastclosure, "_rekey", logged)
+    result = projective_closure(list(build_so9(20)), 5000)
+    stats = result.stats
+    assert (result.outcome, stats["products"], stats["peak_frontier"]) == (EXCEEDED, 6374, 1506)
+    assert stats["engine"] == "fast"
+    assert widened == [(np.dtype(old), np.dtype(new)) for old, new in want]
 
 
 def test_fast_closure_does_not_depend_on_blas_threads():
