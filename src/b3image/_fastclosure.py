@@ -149,6 +149,15 @@ def _split_prime(conductor: int, phi: int) -> tuple[int, int]:
     raise Unsuitable(f"no prime p = 1 mod {conductor} keeps phi * (p - 1)**2 below 2**53")
 
 
+@lru_cache(maxsize=None)
+def _omega_powers(conductor: int, p: int, omega: int) -> np.ndarray:
+    """omega^k mod p for k < conductor as a read-only int64 array, built once
+    per conductor and split prime; the first phi are the weights of h."""
+    powers = np.array([pow(omega, k, p) for k in range(conductor)], dtype=np.int64)
+    powers.setflags(write=False)
+    return powers
+
+
 def _is_prime(m: int) -> bool:
     return m > 1 and all(m % q for q in range(2, isqrt(m) + 1))
 
@@ -159,8 +168,7 @@ class _Engine:
         self.phi = phi = _ctx(conductor).phi
         self.scal, self.scal_max = _scalar_orbit(conductor)
         self.p, omega = _split_prime(conductor, phi)
-        # omega^k mod p for k < n; the first phi are the weights of h
-        self.omega = np.array([pow(omega, k, self.p) for k in range(conductor)], dtype=np.int64)
+        self.omega = _omega_powers(conductor, self.p, omega)
 
     def _hash(self, coords: np.ndarray) -> np.ndarray:
         """h(v) = (sum_i v_i * omega^i) mod p over the last axis, in int64."""

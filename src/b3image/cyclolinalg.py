@@ -1,15 +1,17 @@
 """Small dense matrices over a cyclotomic field.
 
-Dimensions stay at 5 or below, so cofactor-style expansions and plain
-Gauss-Jordan elimination are the right tools. All arithmetic is exact.
+Dimensions stay at 5 or below.  A matrix product takes one fused
+`exactfield.dot` per entry: the d products of a row and a column add up
+unreduced and are reduced by the minimal polynomial and normalised once.
+Powers start from the lowest set bit of the exponent, never from the
+identity.  The determinant is a Laplace expansion with memoised minors,
+the inverse a plain Gauss-Jordan elimination.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -20,7 +22,7 @@ from .errors import (
     SingularMatrix,
     ZeroMatrix,
 )
-from .exactfield import CycNumber, RootOfUnity, embed
+from .exactfield import CycNumber, RootOfUnity, dot, embed
 
 
 Entry = CycNumber | int | Fraction
@@ -171,17 +173,9 @@ class CycMatrix:
 
     def __mul__(self, other: CycMatrix) -> CycMatrix:
         self._check(other)
-        d = self.dim
         cols = tuple(zip(*other.rows))
-        out = []
-        for i in range(d):
-            row = self.rows[i]
-            out.append(
-                tuple(
-                    _dot(row, cols[j], self.conductor) for j in range(d)
-                )
-            )
-        return CycMatrix(d, self.conductor, tuple(out))
+        out = tuple(tuple(dot(row, col) for col in cols) for row in self.rows)
+        return CycMatrix(self.dim, self.conductor, out)
 
     def scale(self, c: Entry) -> CycMatrix:
         cv = _entry(c, self.conductor) if not isinstance(c, (int, Fraction)) else c
@@ -192,14 +186,23 @@ class CycMatrix:
         )
 
     def __pow__(self, k: int) -> CycMatrix:
+        """Binary powering from the lowest set bit: no product with the
+        identity and no square past the top bit, so M**k takes
+        bit_length(k) - 1 squares and popcount(k) - 1 other products."""
         if k < 0:
             return self.inv() ** (-k)
-        acc = CycMatrix.identity(self.dim, self.conductor)
+        if k == 0:
+            return CycMatrix.identity(self.dim, self.conductor)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        acc = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
         return acc
 
@@ -229,14 +232,40 @@ class CycMatrix:
         return CycMatrix(d, self.conductor, tuple(tuple(r) for r in aug))
 
     def det(self) -> CycNumber:
-        acc = CycNumber.zero(self.conductor)
-        for perm in itertools.permutations(range(self.dim)):
-            factors = [self.rows[i][j] for i, j in enumerate(perm)]
-            if any(f.is_zero() for f in factors):
-                continue
-            term = functools.reduce(operator.mul, factors)
-            acc = acc + term if _perm_sign(perm) > 0 else acc - term
-        return acc
+        """Laplace expansion along the rows, top to bottom.
+
+        The minor on the last k rows and a k-tuple of columns is computed
+        once, memoised by the column tuple; zero entries and zero minors are
+        skipped before any product.  A dense d x d matrix takes
+        sum over k of k * C(d, k) products (75 at d = 5; Leibniz takes 480),
+        a triangular one d - 1.
+        """
+        d = self.dim
+        rows = self.rows
+        memo: dict[tuple[int, ...], CycNumber] = {}
+
+        def minor(cols: tuple[int, ...]) -> CycNumber:
+            row = rows[d - len(cols)]
+            if len(cols) == 1:
+                return row[cols[0]]
+            if cols in memo:
+                return memo[cols]
+            acc = None
+            for pos, col in enumerate(cols):
+                entry = row[col]
+                if entry.is_zero():
+                    continue
+                sub = minor(cols[:pos] + cols[pos + 1 :])
+                if sub.is_zero():
+                    continue
+                term = -(entry * sub) if pos % 2 else entry * sub
+                acc = term if acc is None else acc + term
+            if acc is None:
+                acc = CycNumber.zero(self.conductor)
+            memo[cols] = acc
+            return acc
+
+        return minor(tuple(range(d)))
 
     def trace(self) -> CycNumber:
         acc = CycNumber.zero(self.conductor)
@@ -370,14 +399,6 @@ class CycMatrix:
         return "\n".join(
             "[" + ", ".join(str(v) for v in row) + "]" for row in self.rows
         )
-
-
-def _dot(row: Sequence[CycNumber], col: Sequence[CycNumber], conductor: int) -> CycNumber:
-    acc = CycNumber.zero(conductor)
-    for a, b in zip(row, col):
-        if not (a.is_zero() or b.is_zero()):
-            acc = acc + a * b
-    return acc
 
 
 def _breaks_trace_bound(power: CycMatrix, scale: Fraction) -> bool:

@@ -153,7 +153,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class _Context:
     """Precomputed reduction data for one conductor."""
 
-    __slots__ = ("n", "phi", "powrows", "rootmap")
+    __slots__ = ("n", "phi", "powrows", "rootmap", "folds")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -173,6 +173,12 @@ class _Context:
                     row[i] += carry * low[i]
         self.powrows = tuple(rows)
         self.rootmap = {rows[j]: j for j in range(n)}
+        # the nonzero coordinates of zeta^j for phi <= j < 2*phi - 1: a
+        # product's high terms fold back along these, and most are sparse
+        self.folds = tuple(
+            tuple((p, v) for p, v in enumerate(rows[j]) if v)
+            for j in range(phi, 2 * phi - 1)
+        )
 
 
 @lru_cache(maxsize=None)
@@ -338,8 +344,9 @@ class CycNumber:
             return CycNumber(self.conductor, n, d)
         self._check(other)
         ctx = _ctx(self.conductor)
-        vec = _mul_vec(ctx, self.num, other.num)
-        n, d = _normalize(list(vec), self.den * other.den)
+        buf = [0] * (2 * ctx.phi - 1)
+        _convolve(buf, self.num, other.num, 1)
+        n, d = _normalize(_reduce(ctx, buf), self.den * other.den)
         return CycNumber(self.conductor, n, d)
 
     def __rmul__(self, other: int | Fraction) -> CycNumber:
@@ -434,24 +441,49 @@ def _coerce(value: CycNumber | int | Fraction, conductor: int) -> CycNumber:
     return CycNumber.from_rational(value, conductor)
 
 
-def _mul_vec(ctx: _Context, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Multiply coordinate vectors and reduce by the minimal polynomial."""
-    phi = ctx.phi
-    buf = [0] * (2 * phi - 1)
+def _convolve(buf: list[int], a: tuple[int, ...], b: tuple[int, ...], scale: int) -> None:
+    """Add scale * a * b, the unreduced product of coordinate vectors, into buf."""
     bi = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
+            s = scale * ai
             for j, bj in bi:
-                buf[i + j] += ai * bj
-    out = buf[:phi]
-    rows = ctx.powrows
-    for j in range(phi, 2 * phi - 1):
-        c = buf[j]
+                buf[i + j] += s * bj
+
+
+def _reduce(ctx: _Context, buf: list[int]) -> list[int]:
+    """Reduce an unreduced product of length 2*phi - 1 by the minimal polynomial."""
+    out = buf[: ctx.phi]
+    for c, fold in zip(buf[ctx.phi :], ctx.folds):
         if c:
-            row = rows[j]
-            for p in range(phi):
-                out[p] += c * row[p]
+            for p, v in fold:
+                out[p] += c * v
     return out
+
+
+def dot(xs: Sequence[CycNumber], ys: Sequence[CycNumber]) -> CycNumber:
+    """The sum of x * y over the pairs, with one reduction and one normalisation.
+
+    The nonzero terms share one denominator, the lcm of their x.den * y.den;
+    their unreduced products add up in one buffer, which is reduced by the
+    minimal polynomial once.  Normalised numbers are unique, so this equals
+    the sum of the products taken one at a time.
+    """
+    if len(xs) != len(ys) or not xs:
+        raise ValueError("dot needs two sequences of one nonzero length")
+    n = xs[0].conductor
+    ctx = _ctx(n)
+    terms = [(x, y) for x, y in zip(xs, ys) if any(x.num) and any(y.num)]
+    if not terms:
+        return CycNumber(n, (0,) * ctx.phi, 1)
+    den = math.lcm(*(x.den * y.den for x, y in terms))
+    buf = [0] * (2 * ctx.phi - 1)
+    for x, y in terms:
+        if x.conductor != n or y.conductor != n:
+            raise ConductorMismatch(f"dot over conductor {n} met another; lift first")
+        _convolve(buf, x.num, y.num, den // (x.den * y.den))
+    num, den = _normalize(_reduce(ctx, buf), den)
+    return CycNumber(n, num, den)
 
 
 def root_index(root: RootOfUnity, conductor: int) -> int:

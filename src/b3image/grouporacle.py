@@ -73,8 +73,7 @@ class Word:
     def evaluate(self, generators: list[CycMatrix]) -> CycMatrix:
         if not generators:
             raise ValueError("need at least one generator to evaluate a word")
-        first = generators[0]
-        result = CycMatrix.identity(first.dim, first.conductor)
+        result = None  # the first factor starts the product: no identity product
         inverses: dict[int, CycMatrix] = {}  # each generator is inverted at most once
         for idx, exp in self.factors:
             if idx >= len(generators):
@@ -84,7 +83,11 @@ class Word:
                 if idx not in inverses:
                     inverses[idx] = g.inv()
                 g, exp = inverses[idx], -exp
-            result = result * g**exp
+            power = g**exp
+            result = power if result is None else result * power
+        if result is None:
+            first = generators[0]
+            return CycMatrix.identity(first.dim, first.conductor)
         return result
 
     def __str__(self) -> str:

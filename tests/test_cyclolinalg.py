@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from b3image.cyclolinalg import CycMatrix, CycPolynomial, _breaks_trace_bound
 from b3image.errors import ConductorMismatch, DimensionMismatch, SingularMatrix, ZeroMatrix
-from b3image.exactfield import CycNumber, RootOfUnity, embed, euler_phi
+from b3image.exactfield import CycNumber, RootOfUnity, dot, embed, euler_phi
 from b3image.grouporacle import Word
 from b3image.qgallery import build_so7, build_so9
 from b3image.repforms import build_d3, build_d4_block
@@ -62,6 +62,82 @@ def test_product_matches_complex_oracle(m):
     ours = to_complex(m * m)
     theirs = np.array(to_complex(m)) @ np.array(to_complex(m))
     assert matclose(ours, theirs.tolist())
+
+
+def mixed_cnum(n: int):
+    """Zero, a half-integral number, or the inverse of one: inverses carry
+    denominators other than 1 and 2 into the products."""
+    return st.one_of(
+        st.just(CycNumber.zero(n)),
+        cnum(n),
+        cnum(n).filter(lambda v: not v.is_zero()).map(CycNumber.inv),
+    )
+
+
+def matrix_pairs(dims=(1, 2, 3, 4, 5), conds=(1, 3, 4, 5, 8)):
+    return st.sampled_from(conds).flatmap(
+        lambda n: st.sampled_from(dims).flatmap(
+            lambda d: st.tuples(
+                *(
+                    st.lists(mixed_cnum(n), min_size=d * d, max_size=d * d).map(
+                        lambda e, d=d, n=n: CycMatrix(
+                            d, n, tuple(tuple(e[i * d : (i + 1) * d]) for i in range(d))
+                        )
+                    )
+                    for _ in range(2)
+                )
+            )
+        )
+    )
+
+
+@given(matrix_pairs())
+@settings(max_examples=60, deadline=None)
+def test_fused_product_matches_plain_sums_of_products(pair):
+    a, b = pair
+    zero = CycNumber.zero(a.conductor)
+    want = tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b.rows))
+        for row in a.rows
+    )
+    assert (a * b).rows == want
+
+
+def test_dot_guards():
+    four = CycNumber.one(4)
+    with pytest.raises(ConductorMismatch):
+        dot([four, four], [four, CycNumber.one(8)])
+    with pytest.raises(ValueError):
+        dot([], [])
+    with pytest.raises(ValueError):
+        dot([four], [four, four])
+
+
+def _count_products(monkeypatch, cls):
+    """Count calls of cls.__mul__ from here on; returns the live counter."""
+    calls = {"n": 0}
+    exact_mul = cls.__mul__
+
+    def counted(self, other):
+        calls["n"] += 1
+        return exact_mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
+def test_power_takes_no_product_with_the_identity(monkeypatch):
+    m = build_so9(22)[0]
+    eleven = m
+    for _ in range(10):
+        eleven = eleven * m
+    calls = _count_products(monkeypatch, CycMatrix)
+    assert m**1 == m and calls["n"] == 0
+    got = m**11
+    assert calls["n"] == 5  # squares to m^8, then m * m^2 and m^3 * m^8
+    assert m**0 == CycMatrix.identity(m.dim, m.conductor) and calls["n"] == 5
+    monkeypatch.undo()
+    assert got == eleven
 
 
 @given(matrices())
@@ -115,6 +191,20 @@ def test_det_of_triangular_matrix_takes_dim_minus_one_products(monkeypatch):
     det = m.det()
     monkeypatch.undo()
     assert calls == 4
+    assert det == _leibniz(m)
+
+
+def test_det_of_dense_matrix_takes_one_product_per_minor_entry(monkeypatch):
+    # zeta^(i+j) / (i+j+1): the Hilbert matrix, whose minors are all
+    # positive, scaled by units along rows and columns, so no minor vanishes;
+    # each k-column minor takes k products, sum k * C(5, k) = 75 (Leibniz 480)
+    n = 8
+    zeta = embed(RootOfUnity.of(1, n), n)
+    m = CycMatrix.from_rows([[zeta ** (i + j) / (i + j + 1) for j in range(5)] for i in range(5)], n)
+    calls = _count_products(monkeypatch, CycNumber)
+    det = m.det()
+    monkeypatch.undo()
+    assert calls["n"] == 75
     assert det == _leibniz(m)
 
 

@@ -105,6 +105,33 @@ def test_check_relation_is_projective():
     assert check_relation(gens, word, Word(()))
 
 
+@pytest.mark.parametrize(
+    "word, products",
+    [
+        (A**11, 5),
+        ((A * B * A) ** 2, 5),
+        ((A**4 * (A * B * A) * A**6 * (A * B * A)) ** 2, 20),
+    ],
+    ids=["S^11", "T^2", "(S^4 T S^6 T)^2"],
+)
+def test_relation_checks_take_no_product_with_the_identity(word, products, monkeypatch):
+    # the PSL(2,11) relations on so9(22), S = A and T = ABA: each word starts
+    # from its first factor, each power from its lowest set bit
+    gens = list(build_so9(22))
+    calls = {"n": 0}
+    exact_mul = CycMatrix.__mul__
+
+    def counted(self, other):
+        calls["n"] += 1
+        return exact_mul(self, other)
+
+    monkeypatch.setattr(CycMatrix, "__mul__", counted)
+    assert check_relation(gens, word, Word(()))
+    assert calls["n"] == products
+    assert Word(()).evaluate(gens) == CycMatrix.identity(5, gens[0].conductor)
+    assert calls["n"] == products
+
+
 def test_element_projective_order():
     gens = list(build_d3(RootOfUnity.of(1, 7), RootOfUnity.of(3, 7)))
     assert element_projective_order(gens, A) == 7
@@ -279,6 +306,13 @@ def test_split_prime_refuses_a_bound_no_prime_fits():
     # phi * (p - 1)^2 < 2^53 leaves p <= 3, and p = 1 (mod 14) needs p > 14
     with pytest.raises(_fastclosure.Unsuitable, match="no prime"):
         _fastclosure._split_prime(14, 2**50)
+
+
+def test_engines_share_the_powers_of_omega_of_a_conductor():
+    a, b = _fastclosure._Engine(14, 3), _fastclosure._Engine(14, 4)
+    assert a.omega is b.omega and not a.omega.flags.writeable
+    p, omega = _fastclosure._split_prime(14, a.phi)
+    assert a.omega.tolist() == [pow(omega, k, p) for k in range(14)]
 
 
 def test_fast_canonical_form_refuses_a_batch_inside_the_kernel():
