@@ -4,13 +4,13 @@ Dimensions stay at 5 or below.  A matrix product takes one fused
 `exactfield.dot` per entry: the d products of a row and a column add up
 unreduced and are reduced by the minimal polynomial and normalised once.
 Powers start from the lowest set bit of the exponent, never from the
-identity.  The determinant is a Laplace expansion with memoised minors,
-the inverse a plain Gauss-Jordan elimination.  All arithmetic is exact.
+identity.  The determinant and the characteristic polynomial are one Laplace
+expansion with memoised minors; the inverse is a Gauss-Jordan elimination
+that takes no product with zero or one.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +22,7 @@ from .errors import (
     SingularMatrix,
     ZeroMatrix,
 )
-from .exactfield import CycNumber, RootOfUnity, dot, embed
+from .exactfield import CycNumber, RootOfUnity, dot, embed, positive_power
 
 
 Entry = CycNumber | int | Fraction
@@ -55,6 +55,9 @@ class CycPolynomial:
         if len(self.coeffs) == 1 and self.coeffs[0].is_zero():
             return -1
         return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return self.degree < 0
 
     def is_monic(self) -> bool:
         return self.degree >= 0 and self.coeffs[-1] == CycNumber.one(self.conductor)
@@ -186,31 +189,32 @@ class CycMatrix:
         )
 
     def __pow__(self, k: int) -> CycMatrix:
-        """Binary powering from the lowest set bit: no product with the
-        identity and no square past the top bit, so M**k takes
-        bit_length(k) - 1 squares and popcount(k) - 1 other products."""
+        """Binary powering by `exactfield.positive_power`: no product with
+        the identity and no square past the top bit."""
         if k < 0:
             return self.inv() ** (-k)
         if k == 0:
             return CycMatrix.identity(self.dim, self.conductor)
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        acc = base
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                acc = acc * base
-            k >>= 1
-        return acc
+        return positive_power(self, k)
 
     def inv(self) -> CycMatrix:
-        """Inverse by exact Gauss-Jordan elimination."""
+        """Inverse by exact Gauss-Jordan elimination.
+
+        No product has a zero or unit factor: the identity half of the
+        augmented matrix is mostly zeros and ones, and so are the eliminated
+        columns, so those products are replaced by their value.
+        """
         d = self.dim
         zero = CycNumber.zero(self.conductor)
         one = CycNumber.one(self.conductor)
+
+        def times(a: CycNumber, b: CycNumber) -> CycNumber:
+            if a.is_zero() or b.is_zero():
+                return zero
+            if a == one:
+                return b
+            return a if b == one else a * b
+
         work = [list(row) for row in self.rows]
         aug = [[one if i == j else zero for j in range(d)] for i in range(d)]
         for col in range(d):
@@ -222,50 +226,18 @@ class CycMatrix:
             work[col], work[pivot] = work[pivot], work[col]
             aug[col], aug[pivot] = aug[pivot], aug[col]
             pinv = work[col][col].inv()
-            work[col] = [v * pinv for v in work[col]]
-            aug[col] = [v * pinv for v in aug[col]]
+            work[col] = [one if j == col else times(v, pinv) for j, v in enumerate(work[col])]
+            aug[col] = [times(v, pinv) for v in aug[col]]
             for r in range(d):
                 if r != col and not work[r][col].is_zero():
                     f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+                    work[r] = [a - times(f, b) for a, b in zip(work[r], work[col])]
+                    aug[r] = [a - times(f, b) for a, b in zip(aug[r], aug[col])]
         return CycMatrix(d, self.conductor, tuple(tuple(r) for r in aug))
 
     def det(self) -> CycNumber:
-        """Laplace expansion along the rows, top to bottom.
-
-        The minor on the last k rows and a k-tuple of columns is computed
-        once, memoised by the column tuple; zero entries and zero minors are
-        skipped before any product.  A dense d x d matrix takes
-        sum over k of k * C(d, k) products (75 at d = 5; Leibniz takes 480),
-        a triangular one d - 1.
-        """
-        d = self.dim
-        rows = self.rows
-        memo: dict[tuple[int, ...], CycNumber] = {}
-
-        def minor(cols: tuple[int, ...]) -> CycNumber:
-            row = rows[d - len(cols)]
-            if len(cols) == 1:
-                return row[cols[0]]
-            if cols in memo:
-                return memo[cols]
-            acc = None
-            for pos, col in enumerate(cols):
-                entry = row[col]
-                if entry.is_zero():
-                    continue
-                sub = minor(cols[:pos] + cols[pos + 1 :])
-                if sub.is_zero():
-                    continue
-                term = -(entry * sub) if pos % 2 else entry * sub
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = CycNumber.zero(self.conductor)
-            memo[cols] = acc
-            return acc
-
-        return minor(tuple(range(d)))
+        """Laplace expansion along the rows (`_laplace`)."""
+        return _laplace(self.rows, CycNumber.zero(self.conductor))
 
     def trace(self) -> CycNumber:
         acc = CycNumber.zero(self.conductor)
@@ -276,21 +248,18 @@ class CycMatrix:
     # -- spectra and projective structure --------------------------------------
 
     def char_poly(self) -> CycPolynomial:
-        """det(t*I - X), monic of degree dim, by permanent-style expansion."""
+        """det(t*I - X), monic of degree dim, by the Laplace expansion that
+        `det` uses, over polynomial entries."""
         n = self.conductor
-        zero = CycNumber.zero(n)
         one = CycNumber.one(n)
-        acc = CycPolynomial(n, (zero,))
-        for perm in itertools.permutations(range(self.dim)):
-            term = CycPolynomial(n, (one,))
-            for i, j in enumerate(perm):
-                if i == j:
-                    factor = CycPolynomial(n, (-self.rows[i][i], one))
-                else:
-                    factor = CycPolynomial(n, (-self.rows[i][j],))
-                term = term * factor
-            acc = acc + term if _perm_sign(perm) > 0 else acc - term
-        return acc
+        rows = [
+            [
+                CycPolynomial(n, (-v, one) if i == j else (-v,))
+                for j, v in enumerate(row)
+            ]
+            for i, row in enumerate(self.rows)
+        ]
+        return _laplace(rows, CycPolynomial(n, (CycNumber.zero(n),)))
 
     def is_scalar(self) -> bool:
         d0 = self.rows[0][0]
@@ -401,6 +370,42 @@ class CycMatrix:
         )
 
 
+def _laplace(rows, zero):
+    """The determinant of a square matrix over a commutative ring whose
+    elements have `is_zero`, by Laplace expansion along the rows, top to
+    bottom; `zero` is the ring's zero.
+
+    The minor on the last k rows and a k-tuple of columns is computed once,
+    memoised by the column tuple; zero entries and zero minors are skipped
+    before any product.  A dense d x d matrix takes sum over k of
+    k * C(d, k) products (75 at d = 5; Leibniz takes 480), a triangular one
+    d - 1.
+    """
+    d = len(rows)
+    memo = {}
+
+    def minor(cols: tuple[int, ...]):
+        row = rows[d - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        if cols in memo:
+            return memo[cols]
+        acc = None
+        for pos, col in enumerate(cols):
+            entry = row[col]
+            if entry.is_zero():
+                continue
+            sub = minor(cols[:pos] + cols[pos + 1 :])
+            if sub.is_zero():
+                continue
+            term = -(entry * sub) if pos % 2 else entry * sub
+            acc = term if acc is None else acc + term
+        memo[cols] = zero if acc is None else acc
+        return memo[cols]
+
+    return minor(tuple(range(d)))
+
+
 def _breaks_trace_bound(power: CycMatrix, scale: Fraction) -> bool:
     """Tr(x * conj(x)) > phi(n) * dim**2 * scale**2 for x = tr(power).
 
@@ -410,21 +415,3 @@ def _breaks_trace_bound(power: CycMatrix, scale: Fraction) -> bool:
     x = power.trace()
     phi = len(x.num)
     return (x * x.galois(-1)).field_trace() > phi * power.dim**2 * scale**2
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-

@@ -359,14 +359,17 @@ class CycNumber:
         if self.is_rational():
             return CycNumber.from_rational(1 / self.as_rational(), self.conductor)
         n = self.conductor
-        conj = CycNumber.one(n)
-        for a in range(2, n):
-            if math.gcd(a, n) == 1:
-                conj = conj * self.galois(a)
+        if self.den == 1 and self.num in _ctx(n).rootmap:
+            return self.galois(-1)  # a root of unity's inverse is its conjugate
+        conjugates = (self.galois(a) for a in range(2, n) if math.gcd(a, n) == 1)
+        conj = next(conjugates)  # not rational, so n > 2 and n - 1 is a unit
+        for g in conjugates:
+            conj = conj * g
         norm = self * conj
         if not norm.is_rational():
             raise ArithmeticError("conjugate product failed to land in Q")
-        return conj * (1 / norm.as_rational())
+        q = norm.as_rational()
+        return conj if q == 1 else conj * (1 / q)
 
     def __truediv__(self, other: CycNumber | int | Fraction) -> CycNumber:
         if isinstance(other, (int, Fraction)):
@@ -379,14 +382,7 @@ class CycNumber:
     def __pow__(self, k: int) -> CycNumber:
         if k < 0:
             return self.inv() ** (-k)
-        acc = CycNumber.one(self.conductor)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return positive_power(self, k) if k else CycNumber.one(self.conductor)
 
     # -- field automorphisms and conductor changes ----------------------------
 
@@ -484,6 +480,23 @@ def dot(xs: Sequence[CycNumber], ys: Sequence[CycNumber]) -> CycNumber:
         _convolve(buf, x.num, y.num, den // (x.den * y.den))
     num, den = _normalize(_reduce(ctx, buf), den)
     return CycNumber(n, num, den)
+
+
+def positive_power(base, k: int):
+    """base**k for k >= 1 by binary powering from the lowest set bit: no
+    product with one and no square past the top bit, so it takes
+    bit_length(k) - 1 squares and popcount(k) - 1 other products."""
+    while not k & 1:
+        base = base * base
+        k >>= 1
+    acc = base
+    k >>= 1
+    while k:
+        base = base * base
+        if k & 1:
+            acc = acc * base
+        k >>= 1
+    return acc
 
 
 def root_index(root: RootOfUnity, conductor: int) -> int:

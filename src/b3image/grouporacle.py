@@ -10,14 +10,15 @@ whole image when it is finite and infinitely many elements when it is not,
 and Completed(order) and ExceededBound come out as for the whole group at
 every bound.  A numpy engine accelerates the common case; it produces the
 identical element set and the exact engine takes over whenever its
-preconditions fail.
+preconditions fail.  That engine, and numpy with it, is imported by the
+first closure, so importing this module or deciding from spectra alone
+never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _fastclosure
 from .cyclolinalg import CycMatrix
 from .exactfield import CycNumber
 from .errors import DimensionMismatch, ConductorMismatch, SingularGenerator
@@ -170,6 +171,8 @@ def projective_closure(
     if bound < 1:
         raise ValueError("bound must be at least 1")
     dets = _validate_generators(generators)
+    from . import _fastclosure  # here, not at the top: spectrum-only runs never load numpy
+
     try:
         completed, count, stats = _fastclosure.run(generators, dets, bound)
     except _fastclosure.Unsuitable:

@@ -426,3 +426,33 @@ def test_python_dash_m_runs_the_cli():
     proc = run("classify", "--dim", "3", "--eig", "0/1,1/7")
     assert proc.returncode == EXIT_INPUT_ERROR
     assert proc.stderr.startswith("error:")
+
+
+def test_spectrum_only_commands_never_import_numpy():
+    # a fresh interpreter, since this one already holds numpy: numpy comes
+    # with the closure engine, which loads on the first closure only
+    script = """
+import contextlib, io, json, sys
+import b3image
+from b3image import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["classify", "--dim", "3", "--eig", "0,1/7,5/7"]),
+        cli.main(["sweep", "--dim", "3", "--max-order", "6"]),
+        cli.main(["qg", "--family", "G2", "--ell", "10"]),
+    ]
+before = "numpy" in sys.modules
+closure = b3image.projective_closure(list(b3image.build_so7(14))).to_json()
+print(json.dumps({"codes": codes, "before": before, "after": "numpy" in sys.modules, "closure": closure}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [EXIT_OK] * 3
+    assert got["before"] is False
+    assert got["after"] is True
+    closure = got["closure"]
+    assert (closure["outcome"], closure["order"]) == ("Completed", 168)
+    assert closure["stats"]["products"] == 336

@@ -140,6 +140,31 @@ def test_power_takes_no_product_with_the_identity(monkeypatch):
     assert got == eleven
 
 
+def test_inverse_and_powers_take_no_product_with_one(monkeypatch):
+    a, b = build_so9(22)
+    m = a * b
+    one = CycNumber.one(m.conductor)
+    x = m.rows[4][0]
+    fifth = x * x * x * x * x
+    products = []
+    exact_mul = CycNumber.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return exact_mul(self, other)
+
+    monkeypatch.setattr(CycNumber, "__mul__", counted)
+    inv = m.inv()
+    assert products and not any(f == one or f == 1 for pair in products for f in pair)
+    del products[:]
+    assert x**1 == x and not products
+    got = x**5
+    assert len(products) == 3  # x^2, x^4, then x * x^4
+    monkeypatch.undo()
+    assert got == fifth
+    assert m * inv == CycMatrix.identity(m.dim, m.conductor)
+
+
 @given(matrices())
 @settings(max_examples=80)
 def test_det_matches_complex_oracle(m):
@@ -255,6 +280,22 @@ def test_char_poly_trace_det_relations(m):
     assert p.coeffs[m.dim - 1] == -m.trace()
     sign = 1 if m.dim % 2 == 0 else -1
     assert p.coeffs[0] == sign * m.det()
+
+
+def test_char_poly_of_dense_matrix_takes_one_product_per_minor_entry(monkeypatch):
+    # the dense matrix of the det test: no minor of t*I - X vanishes, so the
+    # expansion takes sum k * C(5, k) = 75 polynomial products (Leibniz 600)
+    n = 8
+    zeta = embed(RootOfUnity.of(1, n), n)
+    rows = [[zeta ** (i + j) / (i + j + 1) for j in range(5)] for i in range(5)]
+    calls = _count_products(monkeypatch, CycPolynomial)
+    p = CycMatrix.from_rows(rows, n).char_poly()
+    monkeypatch.undo()
+    assert calls["n"] == 75
+    assert p.is_monic() and p.degree == 5
+    for c in range(6):  # six values fix a quintic
+        shifted = [[(c if i == j else 0) - v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        assert p(c) == _leibniz(CycMatrix.from_rows(shifted, n))
 
 
 def test_char_poly_of_diagonal_from_roots():
