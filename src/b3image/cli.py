@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Four subcommands: `classify` runs the decision cascade on a spectrum given as
-exact exponents, `closure` enumerates a projective matrix group from one of
-the built-in representation builders, `qg` reproduces a quantum-group gallery
-row, and `sweep` classifies every normalized spectrum up to a given eigenvalue
-order and writes the table.
+exact exponents, `closure` enumerates the projective group of the Tuba-Wenzl
+pair `build(spec)` of a spectrum given the same way, `qg` reproduces a
+quantum-group gallery row, and `sweep` classifies every normalized spectrum up
+to a given eigenvalue order and writes the table.  `closure` refuses a
+spectrum that `validate_spec` finds RepeatedEigenvalues or ExistenceFails.
 
 Exit codes: 0 = result produced, 2 = input error, 3 = a closure exceeded its
 bound (the partial result is still printed), 4 = internal error (a case the
@@ -18,15 +19,15 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import B3ImageError, InternalInconsistency, InvalidSpec, MissingParam
-from .exactfield import RootOfUnity
 from .grouporacle import COMPLETED, DEFAULT_BOUND, projective_closure
-from .qgallery import FAMILIES, build_so7, build_so9, reproduce
-from .repforms import EigenSpec, build_d3, build_d4_block
+from .qgallery import FAMILIES, reproduce
+from .repforms import EXISTENCE_FAILS, REPEATED, EigenSpec, build, validate_spec
 from .verdict import classify, projective_order_of_spec
 
 EXIT_OK = 0
@@ -45,7 +46,10 @@ MAX_BOUND = 1_000_000
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # keep the flush at interpreter exit quiet too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -102,44 +106,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- closure ---------------------------------------------------------------------
 
 
-# the parameter flags each builder reads; a builder rejects the others
-_BUILDER_PARAMS = {
-    "d3": ("theta", "phi"),
-    "d4block": ("u", "d_sign"),
-    "so7": ("ell",),
-    "so9": ("ell",),
-}
-
-
-def _flags(names) -> str:
-    return ", ".join("--" + n.replace("_", "-") for n in names)
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise MissingParam(f"--builder {args.builder} needs {_flags(missing)}")
-
-
-def _closure_generators(args: argparse.Namespace):
-    taken = _BUILDER_PARAMS[args.builder]
-    unused = [
-        n
-        for n in ("theta", "phi", "u", "d_sign", "ell")
-        if n not in taken and getattr(args, n) is not None
-    ]
-    if unused:
-        raise InvalidSpec(f"--builder {args.builder} does not take {_flags(unused)}")
-    if args.builder == "d3":
-        _require(args, "theta", "phi")
-        return build_d3(RootOfUnity.parse(args.theta), RootOfUnity.parse(args.phi))
-    if args.builder == "d4block":
-        _require(args, "u", "d_sign")
-        return build_d4_block(RootOfUnity.parse(args.u), _SIGNS[args.d_sign])
-    _require(args, "ell")
-    return build_so7(args.ell) if args.builder == "so7" else build_so9(args.ell)
-
-
 def _bound(args: argparse.Namespace) -> int:
     if args.bound > MAX_BOUND:
         raise InvalidSpec(f"--bound {args.bound} is over the cap of {MAX_BOUND}")
@@ -148,7 +114,15 @@ def _bound(args: argparse.Namespace) -> int:
 
 def cmd_closure(args: argparse.Namespace) -> int:
     bound = _bound(args)
-    result = projective_closure(list(_closure_generators(args)), bound)
+    spec = _build_spec(args)
+    if spec.dim == 4 and spec.d_sign is None:
+        raise MissingParam("--dim 4 needs --d-sign")
+    if spec.dim == 5 and spec.gamma is None:
+        raise MissingParam("--dim 5 needs --gamma")
+    report = validate_spec(spec)
+    if report.status in (REPEATED, EXISTENCE_FAILS):
+        raise InvalidSpec(f"spectrum is {report.status}: {'; '.join(report.witnesses)}")
+    result = projective_closure(list(build(spec)), bound)
     if args.format == "json":
         text = _json_text(result.to_json())
     else:
@@ -251,6 +225,15 @@ def _output_options(p: argparse.ArgumentParser, formats: tuple, default: str) ->
     p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
 
 
+def _spectrum_options(p: argparse.ArgumentParser, eig_required: bool) -> None:
+    p.add_argument("--dim", type=int, required=True, help="dimension, 2 to 5")
+    eig_help = "comma separated exponents; k/n denotes e^{2*pi*i*k/n}"
+    p.add_argument("--eig", required=eig_required, help=eig_help)
+    sign_help = "dim-4 choice: gamma^2 = d_sign * canonical sqrt(det)"
+    p.add_argument("--d-sign", dest="d_sign", choices=sorted(_SIGNS), help=sign_help)
+    p.add_argument("--gamma", help="dim-5 fifth root of det, as exponent k/n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="b3image",
@@ -260,18 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="run the decision cascade on a spectrum")
-    p.add_argument("--dim", type=int, required=True, help="dimension, 2 to 5")
-    p.add_argument(
-        "--eig",
-        help="comma separated exponents; k/n denotes e^{2*pi*i*k/n}",
-    )
-    p.add_argument(
-        "--d-sign",
-        dest="d_sign",
-        choices=sorted(_SIGNS),
-        help="dim-4 representation choice: sign of gamma^2 / sqrt(det)",
-    )
-    p.add_argument("--gamma", help="dim-5 fifth root of det, as exponent k/n")
+    _spectrum_options(p, eig_required=False)
     p.add_argument(
         "--non-root",
         dest="non_root",
@@ -281,15 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     _output_options(p, ("table", "json"), "table")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("closure", help="enumerate a projective matrix group")
-    p.add_argument(
-        "--builder", choices=("d3", "d4block", "so7", "so9"), required=True
-    )
-    p.add_argument("--theta", help="d3: first eigenvalue exponent k/n")
-    p.add_argument("--phi", help="d3: second eigenvalue exponent k/n")
-    p.add_argument("--u", help="d4block: eigenvalue ratio exponent k/n")
-    p.add_argument("--d-sign", dest="d_sign", choices=sorted(_SIGNS))
-    p.add_argument("--ell", type=int, help="so7/so9: level parameter")
+    p = sub.add_parser("closure", help="enumerate the projective group of a spectrum")
+    _spectrum_options(p, eig_required=True)
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     _output_options(p, ("table", "json"), "table")
     p.set_defaults(func=cmd_closure)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: parsing, exit codes, output formats."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -21,6 +22,9 @@ from b3image.cli import (
     sweep_rows,
 )
 from b3image.errors import InternalInconsistency
+from b3image.exactfield import RootOfUnity
+from b3image.grouporacle import projective_closure
+from b3image.repforms import block_spec, build_d4_block
 from b3image.verdict import Verdict
 
 GAP_ORDERS = {6, 7, 8, 9, 10, 12, 15, 20, 24}
@@ -135,9 +139,8 @@ def test_closure_completed(capsys):
     code, out, _ = run_cli(
         capsys,
         "closure",
-        "--builder", "d3",
-        "--theta", "1/7",
-        "--phi", "3/7",
+        "--dim", "3",
+        "--eig", "0,1/7,3/7",
         "--bound", "1000",
         "--format", "json",
     )
@@ -150,9 +153,9 @@ def test_closure_exceeded_exit_code(capsys):
     code, out, _ = run_cli(
         capsys,
         "closure",
-        "--builder", "d4block",
-        "--u", "1/7",
-        "--d-sign=-1",
+        "--dim", "4",
+        "--eig", "0,1/2,1/7,9/14",
+        "--d-sign=+1",
         "--bound", "50",
         "--format", "json",
     )
@@ -162,37 +165,100 @@ def test_closure_exceeded_exit_code(capsys):
 
 
 def test_readme_closure_example_matches_the_cli(capsys):
+    # every console example whose output the README shows in full
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    prompt = "$ b3image closure --builder so7 --ell 14\n"
-    block = readme[readme.index(prompt) + len(prompt) :]
-    expected = block[: block.index("```")]
-    code, out, _ = run_cli(capsys, *prompt.split()[2:])
+    examples = re.findall(r"```console\n\$ b3image ([^\n]*)\n(.*?)```", readme, re.S)
+    checked = set()
+    for command, expected in examples:
+        if "..." in expected:
+            continue
+        code, out, _ = run_cli(capsys, *command.split())
+        assert (code, out) == (EXIT_OK, expected), command
+        checked.add(command.split()[0])
+    assert {"classify", "closure"} <= checked
+
+
+def _block_pairs(max_order):
+    """Block normal-form parameters (u, D): u of order <= max_order, not a
+    4th root of unity."""
+    return [
+        (RootOfUnity.of(k, n), d_sign)
+        for n in range(3, max_order + 1)
+        if n != 4
+        for k in range(1, n)
+        if math.gcd(k, n) == 1
+        for d_sign in (1, -1)
+    ]
+
+
+def test_closure_and_classify_read_d_sign_the_same_way(capsys):
+    bound = 2000
+    for u, d_sign in _block_pairs(10):
+        spec = block_spec(u, d_sign)
+        flags = (
+            "--dim", "4",
+            "--eig", ",".join(str(e) for e in spec.eigenvalues),
+            f"--d-sign={spec.d_sign:+d}",
+        )
+        code, out, _ = run_cli(capsys, "classify", *flags, "--format", "json")
+        assert code == EXIT_OK
+        kind = json.loads(out)["kind"]
+        code, out, err = run_cli(
+            capsys, "closure", *flags, "--bound", str(bound), "--format", "json"
+        )
+        if kind == "NotIrreducible":
+            assert code == EXIT_INPUT_ERROR and "ExistenceFails" in err, (u, d_sign)
+            continue
+        want = projective_closure(list(build_d4_block(u, d_sign)), bound).to_json()
+        assert json.loads(out) == want, (u, d_sign)
+        assert (code, want["outcome"]) == {
+            "Finite": (EXIT_OK, "Completed"),
+            "Infinite": (EXIT_EXCEEDED, "ExceededBound"),
+        }[kind], (u, d_sign)
+    # the stored sign, not the block parameter: D = -1 here is d_sign = +1
+    code, out, _ = run_cli(
+        capsys, "closure", "--dim", "4", "--eig", "0,1/2,1/5,7/10", "--d-sign", "+"
+    )
     assert code == EXIT_OK
-    assert out == expected
+    assert out.splitlines()[:2] == ["outcome        Completed", "order          360"]
+
+
+def test_closure_refuses_a_reducible_spectrum(capsys):
+    for flags in (
+        ("--dim", "3", "--eig", "0,1/8,3/8"),
+        ("--dim", "4", "--eig", "0,1/2,1/3,5/6", "--d-sign", "-"),
+    ):
+        code, out, err = run_cli(capsys, "closure", *flags)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith("error: spectrum is ExistenceFails")
+    code, out, err = run_cli(capsys, "closure", "--dim", "2", "--eig", "1/3,1/3")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("error: spectrum is RepeatedEigenvalues")
 
 
 def test_closure_missing_param(capsys):
-    code, _, err = run_cli(capsys, "closure", "--builder", "d4block", "--u", "1/5")
+    code, _, err = run_cli(capsys, "closure", "--dim", "4", "--eig", "0,1/2,1/5,7/10")
     assert code == EXIT_INPUT_ERROR
     assert "--d-sign" in err
-
-
-def test_closure_invalid_level(capsys):
-    code, _, err = run_cli(capsys, "closure", "--builder", "so7", "--ell", "15")
+    code, _, err = run_cli(
+        capsys, "closure", "--dim", "5", "--eig", "0,1/5,2/5,3/5,4/7"
+    )
     assert code == EXIT_INPUT_ERROR
-    assert err.startswith("error:")
+    assert "--gamma" in err
 
 
 def test_closure_conductor_cap(capsys):
-    code, _, err = run_cli(capsys, "closure", "--builder", "so9", "--ell", "514")
+    code, _, err = run_cli(capsys, "closure", "--dim", "3", "--eig", "0,1/257,1/3")
     assert code == EXIT_INPUT_ERROR
-    assert err.startswith("error:") and "conductor 514" in err
+    assert err.startswith("error:") and "conductor 1542" in err
 
 
 def test_closure_and_qg_bound_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_BOUND", 200)
     # so7(14) has 168 elements: a bound at the cap completes, one above it is refused
-    closure = ("closure", "--builder", "so7", "--ell", "14", "--bound")
+    closure = (
+        "closure", "--dim", "4", "--eig", "0,3/7,5/7,6/7", "--d-sign", "+", "--bound"
+    )
     code, out, _ = run_cli(capsys, *closure, "200")
     assert code == EXIT_OK and "168" in out
     qg = ("qg", "--family", "SO7spin", "--ell", "14", "--bound")
@@ -205,31 +271,25 @@ def test_closure_and_qg_bound_cap(capsys, monkeypatch):
 
 
 def test_bound_over_a_million_is_refused_before_any_closure(capsys):
-    closure = ("closure", "--builder", "so9", "--ell", "20")
+    # the so9(20) spectrum, whose closure runs past any bound
+    closure = (
+        "closure", "--dim", "5", "--eig", "0,1/5,17/20,19/20,1/2", "--gamma", "3/10"
+    )
     for argv in (closure, ("qg", "--family", "SO9spin", "--ell", "20")):
         code, out, err = run_cli(capsys, *argv, "--bound", "1000001")
         assert code == EXIT_INPUT_ERROR and out == ""
         assert "over the cap of 1000000" in err
 
 
-def test_closure_rejects_flags_the_builder_does_not_take(capsys):
-    for builder in ("so7", "so9"):
-        code, out, err = run_cli(
-            capsys, "closure", "--builder", builder, "--ell", "22", "--d-sign", "-"
-        )
+def test_closure_rejects_a_parameter_of_another_dimension(capsys):
+    for flags, message in (
+        (("--dim", "3", "--eig", "0,1/7,3/7", "--d-sign", "-"), "d_sign is a dim-4"),
+        (("--dim", "4", "--eig", "0,3/7,5/7,6/7", "--d-sign", "+", "--gamma", "1/7"),
+         "gamma is a dim-5"),
+    ):
+        code, out, err = run_cli(capsys, "closure", *flags)
         assert code == EXIT_INPUT_ERROR and out == ""
-        assert err.startswith("error:") and "--d-sign" in err
-    code, out, err = run_cli(
-        capsys,
-        "closure",
-        "--builder", "d3",
-        "--theta", "1/7",
-        "--phi", "3/7",
-        "--u", "1/5",
-        "--ell", "99",
-    )
-    assert code == EXIT_INPUT_ERROR and out == ""
-    assert err.startswith("error:") and "--u" in err and "--ell" in err
+        assert err.startswith("error:") and message in err
 
 
 # -- qg ------------------------------------------------------------------------
@@ -426,6 +486,21 @@ def test_python_dash_m_runs_the_cli():
     proc = run("classify", "--dim", "3", "--eig", "0/1,1/7")
     assert proc.returncode == EXIT_INPUT_ERROR
     assert proc.stderr.startswith("error:")
+
+
+def test_closed_pipe_keeps_the_exit_code_and_a_quiet_stderr():
+    # 115 KB of output, past the pipe buffer: writes fail once the reader is gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "b3image", "sweep", "--dim", "5", "--max-order", "18"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_package_env(),
+    )
+    assert proc.stdout.readline() == b"dim,eigenvalues,po,pattern,rule,kind\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (EXIT_OK, b"")
 
 
 def test_spectrum_only_commands_never_import_numpy():
