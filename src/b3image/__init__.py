@@ -3,7 +3,7 @@ representations of dimension 2 to 5, from the eigenvalues of one generator."""
 
 from .errors import B3ImageError
 from .exactfield import CycNumber, RootOfUnity
-from .cyclolinalg import CycMatrix, CycPolynomial
+from .cyclolinalg import CycMatrix
 from .repforms import (
     EigenSpec,
     ValidationReport,
@@ -51,7 +51,6 @@ __all__ = [
     "CycNumber",
     "RootOfUnity",
     "CycMatrix",
-    "CycPolynomial",
     "EigenSpec",
     "ValidationReport",
     "block_spec",

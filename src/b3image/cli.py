@@ -107,6 +107,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _bound(args: argparse.Namespace) -> int:
+    if args.bound < 1:
+        raise InvalidSpec(f"--bound {args.bound} is below 1")
     if args.bound > MAX_BOUND:
         raise InvalidSpec(f"--bound {args.bound} is over the cap of {MAX_BOUND}")
     return args.bound

@@ -4,9 +4,9 @@ Dimensions stay at 5 or below.  A matrix product takes one fused
 `exactfield.dot` per entry: the d products of a row and a column add up
 unreduced and are reduced by the minimal polynomial and normalised once.
 Powers start from the lowest set bit of the exponent, never from the
-identity.  The determinant and the characteristic polynomial are one Laplace
-expansion with memoised minors; the inverse is a Gauss-Jordan elimination
-that takes no product with zero or one.  All arithmetic is exact.
+identity.  `det` is a Laplace expansion with memoised minors, `inv` a
+Gauss-Jordan elimination with no product by zero or one, and `char_poly`
+Faddeev-LeVerrier in d - 2 matrix products.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -26,86 +26,6 @@ from .exactfield import CycNumber, RootOfUnity, dot, embed, positive_power
 
 
 Entry = CycNumber | int | Fraction
-
-
-@dataclass(frozen=True, slots=True)
-class CycPolynomial:
-    """Polynomial with CycNumber coefficients, lowest degree first."""
-
-    conductor: int
-    coeffs: tuple[CycNumber, ...]
-
-    def __post_init__(self) -> None:
-        c = tuple(self.coeffs)
-        while len(c) > 1 and c[-1].is_zero():
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[RootOfUnity], conductor: int) -> CycPolynomial:
-        """The monic polynomial prod (t - root)."""
-        poly = cls(conductor, (CycNumber.one(conductor),))
-        for r in roots:
-            lin = cls(conductor, (-embed(r, conductor), CycNumber.one(conductor)))
-            poly = poly * lin
-        return poly
-
-    @property
-    def degree(self) -> int:
-        if len(self.coeffs) == 1 and self.coeffs[0].is_zero():
-            return -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
-    def is_monic(self) -> bool:
-        return self.degree >= 0 and self.coeffs[-1] == CycNumber.one(self.conductor)
-
-    def __add__(self, other: CycPolynomial) -> CycPolynomial:
-        if self.conductor != other.conductor:
-            raise ConductorMismatch("polynomial conductors differ")
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        zero = CycNumber.zero(self.conductor)
-        out = list(a)
-        for i, bi in enumerate(b):
-            out[i] = out[i] + bi
-        return CycPolynomial(self.conductor, tuple(out) or (zero,))
-
-    def __neg__(self) -> CycPolynomial:
-        return CycPolynomial(self.conductor, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: CycPolynomial) -> CycPolynomial:
-        return self + (-other)
-
-    def __mul__(self, other: CycPolynomial) -> CycPolynomial:
-        if self.conductor != other.conductor:
-            raise ConductorMismatch("polynomial conductors differ")
-        zero = CycNumber.zero(self.conductor)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(other.coeffs):
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return CycPolynomial(self.conductor, tuple(out))
-
-    def __call__(self, x: Entry) -> CycNumber:
-        acc = CycNumber.zero(self.conductor)
-        xv = _entry(x, self.conductor)
-        for c in reversed(self.coeffs):
-            acc = acc * xv + c
-        return acc
-
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero() or self.degree < 0:
-                terms.append(f"({c})*t^{i}" if i else f"({c})")
-        return " + ".join(terms) if terms else "0"
 
 
 def _entry(value: Entry, conductor: int) -> CycNumber:
@@ -237,7 +157,7 @@ class CycMatrix:
 
     def det(self) -> CycNumber:
         """Laplace expansion along the rows (`_laplace`)."""
-        return _laplace(self.rows, CycNumber.zero(self.conductor))
+        return _laplace(self.rows)
 
     def trace(self) -> CycNumber:
         acc = CycNumber.zero(self.conductor)
@@ -247,19 +167,34 @@ class CycMatrix:
 
     # -- spectra and projective structure --------------------------------------
 
-    def char_poly(self) -> CycPolynomial:
-        """det(t*I - X), monic of degree dim, by the Laplace expansion that
-        `det` uses, over polynomial entries."""
-        n = self.conductor
-        one = CycNumber.one(n)
-        rows = [
-            [
-                CycPolynomial(n, (-v, one) if i == j else (-v,))
-                for j, v in enumerate(row)
-            ]
-            for i, row in enumerate(self.rows)
-        ]
-        return _laplace(rows, CycPolynomial(n, (CycNumber.zero(n),)))
+    def char_poly(self) -> tuple[CycNumber, ...]:
+        """The dim + 1 coefficients of det(t*I - X), lowest degree first and
+        monic, the layout of `exactfield.cyclotomic_polynomial`.
+
+        Faddeev-LeVerrier: from N_1 = I, for k = 1..d,
+        c_(d-k) = -tr(X N_k) / k and N_(k+1) = X N_k + c_(d-k) I.
+        X N_1 is X, and the last coefficient needs only the trace of X N_d,
+        one `dot` over its d * d pairs, so the loop takes d - 2 products.
+        """
+        d, n = self.dim, self.conductor
+        coeffs = [CycNumber.one(n)]  # c_d, c_(d-1), ..., reversed on return
+        xn, nk = self, CycMatrix.identity(d, n)  # X N_k and N_k at k = 1
+        for k in range(1, d):
+            c = xn.trace() / -k
+            coeffs.append(c)
+            nk = CycMatrix(
+                d,
+                n,
+                tuple(
+                    tuple(v + c if i == j else v for j, v in enumerate(row))
+                    for i, row in enumerate(xn.rows)
+                ),
+            )
+            if k < d - 1:
+                xn = self * nk
+        cols = [v for col in zip(*nk.rows) for v in col]
+        coeffs.append(dot([v for row in self.rows for v in row], cols) / -d)
+        return tuple(reversed(coeffs))
 
     def is_scalar(self) -> bool:
         d0 = self.rows[0][0]
@@ -299,11 +234,6 @@ class CycMatrix:
         if g == 0:
             raise ZeroMatrix("zero matrix has no primitive part")
         return Fraction(math.lcm(*dens), g)
-
-    def primitive_part(self) -> CycMatrix:
-        """Divide out the rational content; projectively the same element."""
-        f = self._content()
-        return self.scale(f) if f != 1 else self
 
     def _scaled_powers(self, bound: int) -> Iterator[tuple[int, CycMatrix, Fraction]]:
         """(t, P, s) for t = 1..bound, where P = s * self**t is primitive."""
@@ -370,10 +300,8 @@ class CycMatrix:
         )
 
 
-def _laplace(rows, zero):
-    """The determinant of a square matrix over a commutative ring whose
-    elements have `is_zero`, by Laplace expansion along the rows, top to
-    bottom; `zero` is the ring's zero.
+def _laplace(rows: Sequence[Sequence[CycNumber]]) -> CycNumber:
+    """The determinant by Laplace expansion along the rows, top to bottom.
 
     The minor on the last k rows and a k-tuple of columns is computed once,
     memoised by the column tuple; zero entries and zero minors are skipped
@@ -382,6 +310,7 @@ def _laplace(rows, zero):
     d - 1.
     """
     d = len(rows)
+    zero = CycNumber.zero(rows[0][0].conductor)
     memo = {}
 
     def minor(cols: tuple[int, ...]):

@@ -146,7 +146,7 @@ def _exact_closure(generators: list[CycMatrix], bound: int) -> ClosureResult:
         for m in frontier:
             for g in gens:
                 stats["products"] += 1
-                c = (m * g).primitive_part().projective_canonical()
+                c = (m * g).projective_canonical()
                 if c not in visited:
                     visited.add(c)
                     if len(visited) > bound:
@@ -183,8 +183,8 @@ def projective_closure(
 
 def check_relation(generators: list[CycMatrix], lhs: Word, rhs: Word) -> bool:
     """True iff the two words agree projectively over the generators."""
-    left = lhs.evaluate(generators).primitive_part().projective_canonical()
-    right = rhs.evaluate(generators).primitive_part().projective_canonical()
+    left = lhs.evaluate(generators).projective_canonical()
+    right = rhs.evaluate(generators).projective_canonical()
     return left == right
 
 

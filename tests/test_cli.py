@@ -281,6 +281,25 @@ def test_bound_over_a_million_is_refused_before_any_closure(capsys):
         assert "over the cap of 1000000" in err
 
 
+def test_bound_below_one_is_refused_before_any_spec(capsys, monkeypatch):
+    # a G2 row has no builder, so its closure would never read the bound
+    def no_spec(*args, **kwargs):
+        raise AssertionError("a spec was built")
+
+    monkeypatch.setattr(cli, "_build_spec", no_spec)
+    monkeypatch.setattr(cli, "reproduce", no_spec)
+    closure = ("closure", "--dim", "4", "--eig", "0,3/7,5/7,6/7", "--d-sign", "+")
+    for argv in (
+        ("qg", "--family", "G2", "--ell", "14"),
+        ("qg", "--family", "SO7spin", "--ell", "14"),
+        closure,
+    ):
+        for bound in ("0", "-3"):
+            code, out, err = run_cli(capsys, *argv, "--bound", bound)
+            assert code == EXIT_INPUT_ERROR and out == ""
+            assert err == f"error: --bound {bound} is below 1\n"
+
+
 def test_closure_rejects_a_parameter_of_another_dimension(capsys):
     for flags, message in (
         (("--dim", "3", "--eig", "0,1/7,3/7", "--d-sign", "-"), "d_sign is a dim-4"),
@@ -406,6 +425,12 @@ def test_sweep_row_cap(capsys, monkeypatch):
 
 
 # -- parser level ------------------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in b3image.__all__ if not hasattr(b3image, name)]
+    assert missing == []
+    assert len(set(b3image.__all__)) == len(b3image.__all__)
 
 
 def test_missing_subcommand_is_parse_error():

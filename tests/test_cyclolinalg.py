@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b3image.cyclolinalg import CycMatrix, CycPolynomial, _breaks_trace_bound
+from b3image.cyclolinalg import CycMatrix, _breaks_trace_bound
 from b3image.errors import ConductorMismatch, DimensionMismatch, SingularMatrix, ZeroMatrix
 from b3image.exactfield import CycNumber, RootOfUnity, dot, embed, euler_phi
 from b3image.grouporacle import Word
@@ -264,51 +264,75 @@ def test_pow_negative_inverts():
 # -- characteristic polynomial ---------------------------------------------------------
 
 
+def _plus_scalar(m: CycMatrix, c: CycNumber) -> CycMatrix:
+    """m + c*I."""
+    return CycMatrix(
+        m.dim,
+        m.conductor,
+        tuple(
+            tuple(v + c if i == j else v for j, v in enumerate(row))
+            for i, row in enumerate(m.rows)
+        ),
+    )
+
+
 def test_char_poly_against_sympy_rational():
     rows = [[1, 2, 0], [0, 3, 1], [5, 0, 1]]
     ours = CycMatrix.from_rows(rows, 1).char_poly()
     t = sympy.symbols("t")
     theirs = sympy.Poly((sympy.eye(3) * t - sympy.Matrix(rows)).det(), t).all_coeffs()
-    assert [c.as_rational() for c in ours.coeffs] == list(reversed(theirs))
+    assert [c.as_rational() for c in ours] == list(reversed(theirs))
 
 
 @given(matrices(dims=(2, 3)))
 @settings(max_examples=60)
 def test_char_poly_trace_det_relations(m):
     p = m.char_poly()
-    assert p.is_monic() and p.degree == m.dim
-    assert p.coeffs[m.dim - 1] == -m.trace()
+    assert len(p) == m.dim + 1 and p[m.dim] == CycNumber.one(m.conductor)
+    assert p[m.dim - 1] == -m.trace()
     sign = 1 if m.dim % 2 == 0 else -1
-    assert p.coeffs[0] == sign * m.det()
+    assert p[0] == sign * m.det()
 
 
-def test_char_poly_of_dense_matrix_takes_one_product_per_minor_entry(monkeypatch):
-    # the dense matrix of the det test: no minor of t*I - X vanishes, so the
-    # expansion takes sum k * C(5, k) = 75 polynomial products (Leibniz 600)
+@given(matrices(dims=(1, 2, 3)))
+@settings(max_examples=60)
+def test_char_poly_satisfies_cayley_hamilton(m):
+    # sum c_k X^k by Horner: ((X + c_(d-1)) X + c_(d-2)) X + ... + c_0
+    p = m.char_poly()
+    acc = CycMatrix.identity(m.dim, m.conductor)
+    for c in reversed(p[:-1]):
+        acc = _plus_scalar(acc * m, c)
+    assert all(v.is_zero() for row in acc.rows for v in row)
+
+
+def test_char_poly_of_dense_matrix_takes_d_minus_two_products(monkeypatch):
+    # the dense matrix of the det test: N_2 .. N_4 each take one product,
+    # N_1 = I takes none and the last coefficient takes only a trace
     n = 8
     zeta = embed(RootOfUnity.of(1, n), n)
     rows = [[zeta ** (i + j) / (i + j + 1) for j in range(5)] for i in range(5)]
-    calls = _count_products(monkeypatch, CycPolynomial)
-    p = CycMatrix.from_rows(rows, n).char_poly()
+    m = CycMatrix.from_rows(rows, n)
+    calls = _count_products(monkeypatch, CycMatrix)
+    p = m.char_poly()
     monkeypatch.undo()
-    assert calls["n"] == 75
-    assert p.is_monic() and p.degree == 5
+    assert calls["n"] == 3
+    assert len(p) == 6 and p[5] == CycNumber.one(n)
     for c in range(6):  # six values fix a quintic
+        value = CycNumber.zero(n)
+        for coeff in reversed(p):
+            value = value * c + coeff
         shifted = [[(c if i == j else 0) - v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-        assert p(c) == _leibniz(CycMatrix.from_rows(shifted, n))
+        assert value == _leibniz(CycMatrix.from_rows(shifted, n))
 
 
-def test_char_poly_of_diagonal_from_roots():
-    roots = [RootOfUnity.of(k, 7) for k in (0, 1, 3)]
-    m = CycMatrix.diagonal(roots, 7)
-    assert m.char_poly() == CycPolynomial.from_roots(roots, 7)
-
-
-def test_polynomial_evaluation():
-    p = CycPolynomial.from_roots([RootOfUnity.of(1, 4)], 4)
-    i = embed(RootOfUnity.of(1, 4), 4)
-    assert p(i).is_zero()
-    assert not p(CycNumber.one(4)).is_zero()
+def test_char_poly_of_diagonal_is_elementary_symmetric():
+    r0, r1, r2, r3 = (embed(RootOfUnity.of(k, 7), 7) for k in (0, 1, 3, 6))
+    m = CycMatrix.diagonal([r0, r1, r2, r3], 7)
+    e1 = r0 + r1 + r2 + r3
+    e2 = r0 * r1 + r0 * r2 + r0 * r3 + r1 * r2 + r1 * r3 + r2 * r3
+    e3 = r0 * r1 * r2 + r0 * r1 * r3 + r0 * r2 * r3 + r1 * r2 * r3
+    e4 = r0 * r1 * r2 * r3
+    assert m.char_poly() == (e4, -e3, e2, -e1, CycNumber.one(7))
 
 
 # -- projective helpers -----------------------------------------------------------------
@@ -324,15 +348,6 @@ def test_projective_canonical_removes_scalar():
 def test_projective_canonical_zero_matrix():
     with pytest.raises(ZeroMatrix):
         CycMatrix.from_rows([[0, 0], [0, 0]], 1).projective_canonical()
-
-
-def test_primitive_part_is_projectively_equal_and_integral():
-    m = CycMatrix.from_rows(
-        [[Fraction(2, 3), Fraction(4, 3)], [2, Fraction(8, 3)]], 1
-    )
-    p = m.primitive_part()
-    assert p == CycMatrix.from_rows([[1, 2], [3, 4]], 1)
-    assert p.projective_canonical() == m.projective_canonical()
 
 
 def test_is_scalar():
