@@ -51,8 +51,11 @@ def _emit(text: str, path: str | None) -> None:
         except BrokenPipeError:  # keep the flush at interpreter exit quiet too
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise B3ImageError(f"cannot write --output {path}: {exc.strerror}") from None
 
 
 def _json_text(payload) -> str:

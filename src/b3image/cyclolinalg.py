@@ -4,9 +4,9 @@ Dimensions stay at 5 or below.  A matrix product takes one fused
 `exactfield.dot` per entry: the d products of a row and a column add up
 unreduced and are reduced by the minimal polynomial and normalised once.
 Powers start from the lowest set bit of the exponent, never from the
-identity.  `det` is a Laplace expansion with memoised minors, `inv` a
-Gauss-Jordan elimination with no product by zero or one, and `char_poly`
-Faddeev-LeVerrier in d - 2 matrix products.  All arithmetic is exact.
+identity.  `det`, `inv` and `char_poly` all read one memoised minor
+expansion (`_minors`): `det` is the full minor, `inv` the adjugate over the
+determinant, and `char_poly` sums principal minors.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     ConductorMismatch,
@@ -118,46 +119,28 @@ class CycMatrix:
         return positive_power(self, k)
 
     def inv(self) -> CycMatrix:
-        """Inverse by exact Gauss-Jordan elimination.
-
-        No product has a zero or unit factor: the identity half of the
-        augmented matrix is mostly zeros and ones, and so are the eliminated
-        columns, so those products are replaced by their value.
-        """
+        """The adjugate over the determinant, one field inversion: entry (i, j)
+        is (-1)**(i + j) * minor(rows - j, cols - i) / det, with no product
+        by zero or one (`_minors`)."""
         d = self.dim
-        zero = CycNumber.zero(self.conductor)
-        one = CycNumber.one(self.conductor)
+        minor, full = _minors(self), tuple(range(d))
+        det = minor(full, full)
+        if det.is_zero():
+            raise SingularMatrix("matrix is singular")
+        dinv = det.inv()
 
-        def times(a: CycNumber, b: CycNumber) -> CycNumber:
-            if a.is_zero() or b.is_zero():
-                return zero
-            if a == one:
-                return b
-            return a if b == one else a * b
+        def entry(i: int, j: int) -> CycNumber:
+            v = minor(full[:j] + full[j + 1 :], full[:i] + full[i + 1 :])
+            v = v if v.is_zero() else _times(v, dinv)
+            return -v if (i + j) % 2 else v
 
-        work = [list(row) for row in self.rows]
-        aug = [[one if i == j else zero for j in range(d)] for i in range(d)]
-        for col in range(d):
-            pivot = next(
-                (r for r in range(col, d) if not work[r][col].is_zero()), None
-            )
-            if pivot is None:
-                raise SingularMatrix("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pinv = work[col][col].inv()
-            work[col] = [one if j == col else times(v, pinv) for j, v in enumerate(work[col])]
-            aug[col] = [times(v, pinv) for v in aug[col]]
-            for r in range(d):
-                if r != col and not work[r][col].is_zero():
-                    f = work[r][col]
-                    work[r] = [a - times(f, b) for a, b in zip(work[r], work[col])]
-                    aug[r] = [a - times(f, b) for a, b in zip(aug[r], aug[col])]
-        return CycMatrix(d, self.conductor, tuple(tuple(r) for r in aug))
+        rows = tuple(tuple(entry(i, j) for j in range(d)) for i in range(d))
+        return CycMatrix(d, self.conductor, rows)
 
     def det(self) -> CycNumber:
-        """Laplace expansion along the rows (`_laplace`)."""
-        return _laplace(self.rows)
+        """The full minor of `_minors`, expanded along the rows top to bottom."""
+        full = tuple(range(self.dim))
+        return _minors(self)(full, full)
 
     def trace(self) -> CycNumber:
         acc = CycNumber.zero(self.conductor)
@@ -169,32 +152,16 @@ class CycMatrix:
 
     def char_poly(self) -> tuple[CycNumber, ...]:
         """The dim + 1 coefficients of det(t*I - X), lowest degree first and
-        monic, the layout of `exactfield.cyclotomic_polynomial`.
-
-        Faddeev-LeVerrier: from N_1 = I, for k = 1..d,
-        c_(d-k) = -tr(X N_k) / k and N_(k+1) = X N_k + c_(d-k) I.
-        X N_1 is X, and the last coefficient needs only the trace of X N_d,
-        one `dot` over its d * d pairs, so the loop takes d - 2 products.
-        """
-        d, n = self.dim, self.conductor
-        coeffs = [CycNumber.one(n)]  # c_d, c_(d-1), ..., reversed on return
-        xn, nk = self, CycMatrix.identity(d, n)  # X N_k and N_k at k = 1
-        for k in range(1, d):
-            c = xn.trace() / -k
-            coeffs.append(c)
-            nk = CycMatrix(
-                d,
-                n,
-                tuple(
-                    tuple(v + c if i == j else v for j, v in enumerate(row))
-                    for i, row in enumerate(xn.rows)
-                ),
-            )
-            if k < d - 1:
-                xn = self * nk
-        cols = [v for col in zip(*nk.rows) for v in col]
-        coeffs.append(dot([v for row in self.rows for v in row], cols) / -d)
-        return tuple(reversed(coeffs))
+        monic, the layout of `exactfield.cyclotomic_polynomial`: that of
+        t**(d - k) is (-1)**k times the sum of the k x k principal minors of
+        X, all read from one memo (`_minors`)."""
+        d, zero = self.dim, CycNumber.zero(self.conductor)
+        minor = _minors(self)
+        coeffs = []
+        for k in range(d, -1, -1):
+            acc = sum((minor(s, s) for s in combinations(range(d), k)), zero)
+            coeffs.append(-acc if k % 2 else acc)
+        return tuple(coeffs)
 
     def is_scalar(self) -> bool:
         d0 = self.rows[0][0]
@@ -300,39 +267,46 @@ class CycMatrix:
         )
 
 
-def _laplace(rows: Sequence[Sequence[CycNumber]]) -> CycNumber:
-    """The determinant by Laplace expansion along the rows, top to bottom.
-
-    The minor on the last k rows and a k-tuple of columns is computed once,
-    memoised by the column tuple; zero entries and zero minors are skipped
-    before any product.  A dense d x d matrix takes sum over k of
-    k * C(d, k) products (75 at d = 5; Leibniz takes 480), a triangular one
-    d - 1.
+def _minors(m: CycMatrix) -> Callable[[tuple[int, ...], tuple[int, ...]], CycNumber]:
+    """minor(rows, cols): the determinant of m on a row tuple by a column
+    tuple, expanded along its first row and memoised by the pair, so `det`,
+    `inv` and `char_poly` each expand a shared minor once.  Zero entries and
+    zero minors take no product, nor does a factor one; the empty minor is
+    one.  A dense 5 x 5 det takes at most 75 products (Leibniz 480), a
+    triangular d x d one at most d - 1.
     """
-    d = len(rows)
-    zero = CycNumber.zero(rows[0][0].conductor)
-    memo = {}
+    memo = {((), ()): CycNumber.one(m.conductor)}
+    zero = CycNumber.zero(m.conductor)
 
-    def minor(cols: tuple[int, ...]):
-        row = rows[d - len(cols)]
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> CycNumber:
         if len(cols) == 1:
-            return row[cols[0]]
-        if cols in memo:
-            return memo[cols]
+            return m.rows[rows[0]][cols[0]]
+        value = memo.get((rows, cols))
+        if value is not None:
+            return value
+        row, rest = m.rows[rows[0]], rows[1:]
         acc = None
         for pos, col in enumerate(cols):
-            entry = row[col]
-            if entry.is_zero():
+            if row[col].is_zero():
                 continue
-            sub = minor(cols[:pos] + cols[pos + 1 :])
-            if sub.is_zero():
-                continue
-            term = -(entry * sub) if pos % 2 else entry * sub
-            acc = term if acc is None else acc + term
-        memo[cols] = zero if acc is None else acc
-        return memo[cols]
+            sub = minor(rest, cols[:pos] + cols[pos + 1 :])
+            if not sub.is_zero():
+                term = _times(row[col], sub)
+                term = -term if pos % 2 else term
+                acc = term if acc is None else acc + term
+        memo[rows, cols] = value = zero if acc is None else acc
+        return value
 
-    return minor(tuple(range(d)))
+    return minor
+
+
+def _times(a: CycNumber, b: CycNumber) -> CycNumber:
+    """a * b, with no product formed when a factor is one."""
+    return b if _is_one(a) else a if _is_one(b) else a * b
+
+
+def _is_one(x: CycNumber) -> bool:
+    return x.den == 1 and x.num[0] == 1 and not any(x.num[1:])
 
 
 def _breaks_trace_bound(power: CycMatrix, scale: Fraction) -> bool:

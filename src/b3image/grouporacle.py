@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclolinalg import CycMatrix
-from .exactfield import CycNumber
+from .exactfield import CycNumber, positive_power
 from .errors import DimensionMismatch, ConductorMismatch, SingularGenerator
 
 COMPLETED = "Completed"
@@ -60,13 +60,11 @@ class Word:
         return Word(tuple(merged))
 
     def __pow__(self, k: int) -> Word:
+        """Binary powering (`exactfield.positive_power`).  On reduced words the
+        merge in `__mul__` is associative: the factors equal those of k - 1 products."""
         if k == 0:
             return Word(())
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        return positive_power(self if k > 0 else self.inverse(), abs(k))
 
     def inverse(self) -> Word:
         return Word(tuple((idx, -exp) for idx, exp in reversed(self.factors)))

@@ -381,6 +381,6 @@ def classify(spec: EigenSpec, non_root_flag: bool = False) -> Verdict:
     if spec.gamma is not None:
         # recorded but unused by the table rules; the choice can affect |G|
         trace.append(("gamma", str(spec.gamma)))
-    if po in (7, 8) or po >= 13:
-        return Verdict(INFINITE, "2.1(d)(iv)", po=po, trace=tuple(trace))
-    return Verdict(UNDECIDABLE, "2.1(d)(iv)-gap", po=po, trace=tuple(trace))
+    if po in _D5_GAP:
+        return Verdict(UNDECIDABLE, "2.1(d)(iv)-gap", po=po, trace=tuple(trace))
+    return Verdict(INFINITE, "2.1(d)(iv)", po=po, trace=tuple(trace))

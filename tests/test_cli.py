@@ -120,6 +120,26 @@ def test_classify_output_file(capsys, tmp_path):
     assert json.loads(text)["kind"] == "Infinite"
 
 
+# one cheap run of each subcommand
+_RUNS = {
+    "classify": ("classify", "--dim", "3", "--eig", "0,1/7,5/7"),
+    "closure": ("closure", "--dim", "3", "--eig", "0,1/7,3/7", "--bound", "1000"),
+    "qg": ("qg", "--family", "G2", "--ell", "14"),
+    "sweep": ("sweep", "--dim", "3", "--max-order", "6"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RUNS))
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, command, target):
+    path = tmp_path / "missing" / "out.txt" if target == "missing-parent" else tmp_path
+    code, out, err = run_cli(capsys, *_RUNS[command], "--output", str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith(f"error: cannot write --output {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_internal_inconsistency_has_its_own_exit_code(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise InternalInconsistency("po=7 exponent triple outside both parity orbits")

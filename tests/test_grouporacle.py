@@ -48,6 +48,33 @@ def test_word_pow_and_inverse():
     assert ((A * B) ** 2).factors == ((0, 1), (1, 1), (0, 1), (1, 1))
 
 
+def test_word_pow_is_binary_powering(monkeypatch):
+    ab = A * B
+    calls = {"n": 0}
+    exact_mul = Word.__mul__
+
+    def counted(self, other):
+        calls["n"] += 1
+        return exact_mul(self, other)
+
+    monkeypatch.setattr(Word, "__mul__", counted)
+    got = ab**1000
+    # 1000 = 0b1111101000: 9 squares and 5 other products (999 one at a time)
+    assert calls["n"] == 14
+    monkeypatch.undo()
+    assert got.factors == ((0, 1), (1, 1)) * 1000
+    assert (ab**-1000).factors == ((1, -1), (0, -1)) * 1000
+
+
+def test_word_pow_matches_repeated_products_on_reduced_words():
+    words = [A, A * B, A * B**-2 * A**3, B * A.inverse() * B * A**2, A**2 * B * A**-1 * B**-3]
+    for w, k in product(words, range(1, 12)):
+        want = w
+        for _ in range(k - 1):
+            want = want * w
+        assert w**k == want
+
+
 def test_word_str():
     assert str(Word(())) == "e"
     assert str(A * B.inverse() * A**4) == "A B^-1 A^4"
