@@ -117,20 +117,12 @@ def _magnitude(x: np.ndarray) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_rows(conductor: int) -> np.ndarray:
-    """Coordinates of zeta^m for m < conductor + phi - 1, one int64 row each."""
-    ctx = _ctx(conductor)
-    rows = np.array(ctx.powrows[: conductor + ctx.phi - 1], dtype=np.int64)
-    rows.setflags(write=False)
-    return rows
-
-
-@lru_cache(maxsize=None)
 def _scalar_orbit(conductor: int) -> tuple[np.ndarray, int]:
-    """The float64 window scal[k][i] = coords of zeta^(k+i) and its largest
-    absolute coordinate."""
-    rows = _power_rows(conductor)
-    scal = sliding_window_view(rows.astype(np.float64), rows.shape[1], axis=0)
+    """The read-only float64 window scal[k][i] = coords of zeta^(k+i), for
+    k + i < conductor + phi - 1, and its largest absolute coordinate."""
+    ctx = _ctx(conductor)
+    rows = np.array(ctx.powrows[: conductor + ctx.phi - 1], dtype=np.float64)
+    scal = sliding_window_view(rows, ctx.phi, axis=0)
     return scal.transpose(0, 2, 1), _magnitude(rows)
 
 

@@ -65,8 +65,9 @@ def _unwritable(path: str, reason: str) -> B3ImageError:
 
 def _check_output(path: str | None) -> None:
     """Refuse an --output path that is a directory, lacks its parent
-    directory or lies in a directory the process cannot write, before the
-    command runs; the file is neither created nor truncated."""
+    directory, is a file the process cannot write or is a new file in a
+    directory the process cannot write, before the command runs; the file is
+    neither created nor truncated."""
     if path is None:
         return
     parent = os.path.dirname(path) or "."
@@ -78,10 +79,14 @@ def _check_output(path: str | None) -> None:
             code = errno.ENOTDIR
         except OSError as exc:
             code = exc.errno
-    elif not os.access(parent, os.W_OK | os.X_OK):
-        code = errno.EACCES
     else:
-        return
+        # open(path, "w") truncates an existing file in place; a new file
+        # needs its directory
+        exists = os.path.exists(path)
+        target, mode = (path, os.W_OK) if exists else (parent, os.W_OK | os.X_OK)
+        if os.access(target, mode):
+            return
+        code = errno.EACCES
     raise _unwritable(path, os.strerror(code))
 
 
@@ -97,18 +102,27 @@ def _key_value_table(data: dict) -> str:
 # -- classify --------------------------------------------------------------------
 
 
+def _check_dim(dim: int) -> None:
+    if not 2 <= dim <= 5:
+        raise InvalidSpec(f"--dim must be in [2, 5], got {dim}")
+
+
 def _build_spec(args: argparse.Namespace) -> EigenSpec:
     d_sign = _SIGNS[args.d_sign] if args.d_sign is not None else None
     if args.eig is None:
         if not args.non_root:
             raise MissingParam("--eig is required unless --non-root is given")
-        # placeholder spectrum: 2.1(a) short-circuits before it is read
-        return EigenSpec.from_exponents([Fraction(0)] * args.dim)
-    exponents = [part.strip() for part in args.eig.split(",")]
-    if len(exponents) != args.dim:
-        raise InvalidSpec(
-            f"--dim {args.dim} needs {args.dim} eigenvalues, got {len(exponents)}"
-        )
+        _check_dim(args.dim)
+        # placeholder spectrum, read by no rule past 2.1(a): every exponent
+        # is --gamma (gamma**5 is then the determinant) or 0, so EigenSpec
+        # holds --d-sign and --gamma to their dimensions as with --eig
+        exponents = [args.gamma or "0"] * args.dim
+    else:
+        exponents = [part.strip() for part in args.eig.split(",")]
+        if len(exponents) != args.dim:
+            raise InvalidSpec(
+                f"--dim {args.dim} needs {args.dim} eigenvalues, got {len(exponents)}"
+            )
     return EigenSpec.from_exponents(exponents, d_sign=d_sign, gamma=args.gamma)
 
 
@@ -239,8 +253,7 @@ def _rows_text(rows: list[dict], fmt: str) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not 2 <= args.dim <= 5:
-        raise InvalidSpec(f"--dim must be in [2, 5], got {args.dim}")
+    _check_dim(args.dim)
     if args.max_order < 1:
         raise InvalidSpec(f"--max-order must be >= 1, got {args.max_order}")
     rows = math.comb(args.max_order - 1, args.dim - 1)

@@ -11,11 +11,10 @@ determinant, and `char_poly` sums principal minors.  All arithmetic is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     ConductorMismatch,
@@ -188,66 +187,37 @@ class CycMatrix:
             raise ZeroMatrix("zero matrix has no projective representative")
         return self.scale(lead.inv())
 
-    def _content(self) -> Fraction:
-        """The rational f that makes f * self integral with coprime coordinates."""
-        dens = set()
-        g = 0
-        for row in self.rows:
-            for v in row:
-                dens.add(v.den)
-                for c in v.num:
-                    if c:
-                        g = math.gcd(g, c)
-        if g == 0:
-            raise ZeroMatrix("zero matrix has no primitive part")
-        return Fraction(math.lcm(*dens), g)
-
-    def _scaled_powers(self, bound: int) -> Iterator[tuple[int, CycMatrix, Fraction]]:
-        """(t, P, s) for t = 1..bound, where P = s * self**t is primitive."""
-        power, scale = self, Fraction(1)
-        for t in range(1, bound + 1):
-            yield t, power, scale
-            if t < bound:
-                # content growth is scalar, so stripping it is projectively safe
-                power = power * self
-                f = power._content()
-                if f != 1:
-                    power = power.scale(f)
-                    scale *= f
-
     def projective_order(self, bound: int) -> int | None:
         """Least t <= bound with self**t scalar, or None when there is none.
 
-        Each power P = s * self**t (s rational, the content stripped so far)
-        is checked for a scalar first, then against a trace bound that
-        proves infinite order.  Suppose det(self) is a root of unity and some
-        power self**k = c*I.  Then c**dim is a root of unity, so every
-        eigenvalue of self is one too.  Every Galois conjugate of tr(P) is
-        then s times a sum of dim roots of unity, of absolute value at most
-        |s|*dim.  Complex conjugation commutes with the Galois group of
-        Q(zeta_n), so the field trace of tr(P) * conj(tr(P)) is the sum of
-        the squared absolute values of those conjugates, at most
-        phi(n) * dim**2 * s**2.  A power that breaks this bound therefore
-        proves that no power of self is scalar, and the answer is None at
-        every bound.  The determinant is computed once, up front, to reject a
-        singular matrix; whether it is a root of unity is asked only when the
-        bound first breaks, and if it is not the test is switched off and the
-        powers run on to the bound.
+        Each power self**t is checked for a scalar first, then, when det(self)
+        is a root of unity, against a trace bound that proves infinite order.
+        Suppose det(self) is a root of unity and some power self**k = c*I.
+        Then c**dim is a root of unity, so every eigenvalue of self is one too.
+        Every Galois conjugate of tr(self**t) is then a sum of dim roots of
+        unity, of absolute value at most dim.  Complex conjugation commutes
+        with the Galois group of Q(zeta_n), so the field trace of
+        tr(self**t) * conj(tr(self**t)) is the sum of the squared absolute
+        values of those conjugates, at most phi(n) * dim**2.  A power that
+        breaks this bound therefore proves that no power of self is scalar,
+        and the answer is None at every bound.  Rational entries change none
+        of this.  The determinant is computed once, up front, to reject a
+        singular matrix and to switch the certificate on or off.
         """
         if bound < 1:
             raise ValueError("bound must be at least 1")
         det = self.det()
         if det.is_zero():
             raise SingularMatrix("matrix is singular")
-        det_is_root: bool | None = None  # unknown until the bound first breaks
-        for t, power, scale in self._scaled_powers(bound):
+        certify = det.is_root_of_unity()
+        power = self
+        for t in range(1, bound + 1):
             if power.is_scalar():
                 return t
-            if det_is_root is not False and _breaks_trace_bound(power, scale):
-                if det_is_root is None:
-                    det_is_root = det.is_root_of_unity()
-                if det_is_root:
-                    return None
+            if certify and _breaks_trace_bound(power):
+                return None
+            if t < bound:
+                power = power * self
         return None
 
     # -- serialization ----------------------------------------------------------
@@ -309,12 +279,12 @@ def _is_one(x: CycNumber) -> bool:
     return x.den == 1 and x.num[0] == 1 and not any(x.num[1:])
 
 
-def _breaks_trace_bound(power: CycMatrix, scale: Fraction) -> bool:
-    """Tr(x * conj(x)) > phi(n) * dim**2 * scale**2 for x = tr(power).
+def _breaks_trace_bound(power: CycMatrix) -> bool:
+    """Tr(x * conj(x)) > phi(n) * dim**2 for x = tr(power).
 
     See `CycMatrix.projective_order` for why this proves infinite order when
-    power = scale * M**t and det(M) is a root of unity.
+    power = M**t and det(M) is a root of unity.
     """
     x = power.trace()
     phi = len(x.num)
-    return (x * x.galois(-1)).field_trace() > phi * power.dim**2 * scale**2
+    return (x * x.galois(-1)).field_trace() > phi * power.dim**2

@@ -83,6 +83,34 @@ def test_classify_non_root_needs_no_eig(capsys):
     assert "Infinite" in out and "2.1(a)" in out
 
 
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        (("--dim", "3", "--d-sign", "+"), "d_sign is a dim-4 parameter"),
+        (("--dim", "5", "--d-sign", "-"), "d_sign is a dim-4 parameter"),
+        (("--dim", "3", "--gamma", "1/7"), "gamma is a dim-5 parameter"),
+        (("--dim", "4", "--gamma", "1/7"), "gamma is a dim-5 parameter"),
+        (("--dim", "5", "--gamma", "1/0"), "malformed exponent '1/0'"),
+        (("--dim", "5", "--gamma", "x"), "malformed exponent 'x'"),
+        (("--dim", "6"), "--dim must be in [2, 5], got 6"),
+    ],
+)
+def test_classify_non_root_holds_its_flags_to_the_dimension(capsys, flags, err):
+    # the same rules as with --eig, short of gamma**5 = det: no spectrum is given
+    code, out, got = run_cli(capsys, "classify", "--non-root", *flags)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert got == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "flags", [("--dim", "4", "--d-sign", "+"), ("--dim", "5", "--gamma", "1/7")]
+)
+def test_classify_non_root_takes_the_flags_of_its_dimension(capsys, flags):
+    code, out, _ = run_cli(capsys, "classify", "--non-root", *flags)
+    assert code == EXIT_OK
+    assert "Infinite" in out and "2.1(a)" in out
+
+
 def test_classify_eig_count_mismatch(capsys):
     code, _, err = run_cli(capsys, "classify", "--dim", "3", "--eig", "0/1,1/7")
     assert code == EXIT_INPUT_ERROR
@@ -129,6 +157,19 @@ _RUNS = {
 }
 
 
+def _deny_write(monkeypatch, denied):
+    """os.access answers False for W_OK on `denied`: a stand-in for
+    permissions that also holds when the tests run as root."""
+    exact_access = os.access
+
+    def access(path, mode, *args, **kwargs):
+        if os.fspath(path) == os.fspath(denied) and mode & os.W_OK:
+            return False
+        return exact_access(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "access", access)
+
+
 @pytest.mark.parametrize("command", sorted(_RUNS))
 @pytest.mark.parametrize(
     "target",
@@ -138,6 +179,7 @@ _RUNS = {
         "file-parent",
         "under-file-parent",
         "read-only-parent",
+        "unwritable-file",
     ],
 )
 def test_unwritable_output_is_an_input_error(
@@ -156,12 +198,15 @@ def test_unwritable_output_is_an_input_error(
     plain.write_text("kept\n")
     locked = tmp_path / "locked"
     locked.mkdir(mode=0o555)
+    if target == "unwritable-file":
+        _deny_write(monkeypatch, plain)
     path, reason = {
         "missing-parent": (tmp_path / "missing" / "out.txt", "No such file or directory"),
         "directory": (tmp_path, "Is a directory"),
         "file-parent": (plain / "out.txt", "Not a directory"),
         "under-file-parent": (plain / "sub" / "out.txt", "Not a directory"),
         "read-only-parent": (locked / "out.txt", "Permission denied"),
+        "unwritable-file": (plain, "Permission denied"),
     }[target]
     code, out, err = run_cli(capsys, *_RUNS[command], "--output", str(path))
     assert code == EXIT_INPUT_ERROR
@@ -169,6 +214,18 @@ def test_unwritable_output_is_an_input_error(
     assert err == f"error: cannot write --output {path}: {reason}\n"
     assert sorted(tmp_path.iterdir()) == [locked, plain]
     assert list(locked.iterdir()) == [] and plain.read_text() == "kept\n"
+
+
+def test_writable_existing_output_file_needs_no_writable_directory(
+    capsys, monkeypatch, tmp_path
+):
+    # open(path, "w") truncates an existing file without writing its directory
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    _deny_write(monkeypatch, tmp_path)
+    code, out, _ = run_cli(capsys, *_RUNS["classify"], "--output", str(target))
+    assert code == EXIT_OK and out == ""
+    assert "Finite" in target.read_text()
 
 
 def test_internal_inconsistency_has_its_own_exit_code(capsys, monkeypatch):

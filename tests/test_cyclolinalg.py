@@ -2,7 +2,9 @@
 floating-point oracle and sympy."""
 
 import cmath
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -377,18 +379,91 @@ def test_projective_order_respects_scaling():
     assert m.projective_order(100) == m.scale(z).projective_order(100)
 
 
+def monomial_or_elementary(n: int, d: int):
+    """A permutation matrix times signed powers of zeta_n (finite order), or
+    I + x*E_ij with x half-integral (determinant one, often infinite order)."""
+    root = st.builds(
+        lambda k, sign: embed(RootOfUnity.of(k, n), n) * sign,
+        st.integers(0, n - 1),
+        st.sampled_from([1, -1]),
+    )
+    monomial = st.builds(
+        lambda perm, roots: CycMatrix.from_rows(
+            [[roots[i] if j == perm[i] else 0 for j in range(d)] for i in range(d)], n
+        ),
+        st.permutations(range(d)),
+        st.lists(root, min_size=d, max_size=d),
+    )
+    elementary = st.builds(
+        lambda ij, x: CycMatrix.from_rows(
+            [[x if (i, j) == ij else int(i == j) for j in range(d)] for i in range(d)], n
+        ),
+        st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]),
+        cnum(n),
+    )
+    return st.one_of(monomial, elementary)
+
+
+def words_of_matrices(dims=(2, 3), conds=(1, 4, 6)):
+    """Products of one to three monomial or elementary factors."""
+    return st.sampled_from(conds).flatmap(
+        lambda n: st.sampled_from(dims).flatmap(
+            lambda d: st.lists(monomial_or_elementary(n, d), min_size=1, max_size=3)
+        )
+    ).map(lambda factors: functools.reduce(operator.mul, factors))
+
+
+@given(
+    words_of_matrices(),
+    st.sampled_from([1, 1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]),
+    st.integers(1, 12),
+)
+@settings(max_examples=150, deadline=None)
+def test_projective_order_is_the_least_scalar_power(m, multiple, bound):
+    # the trace certificate may end the loop early, never change its answer;
+    # a rational multiple turns it off (its determinant is no root of unity)
+    m = m.scale(multiple)
+    power, want = m, None
+    for t in range(1, bound + 1):
+        if power.is_scalar():
+            want = t
+            break
+        power = power * m
+    assert m.projective_order(bound) == want
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        CycMatrix.from_rows([[0, Fraction(-1, 3)], [3, -1]], 1),
+        CycMatrix.diagonal([RootOfUnity.of(0, 1), RootOfUnity.of(1, 6)], 6),
+        CycMatrix.from_rows([[1, 1], [1, 0]], 4),
+        (Word.gen(0) * Word.gen(1).inverse()).evaluate(
+            list(build_d4_block(RootOfUnity.of(1, 7), -1))
+        ),
+    ],
+    ids=["order-3-rational", "diag-order-6", "fibonacci", "d4block-AB^-1"],
+)
+def test_projective_order_ignores_a_rational_multiple(m):
+    # a rational multiple keeps every power's scalarity; its determinant is
+    # no root of unity, so the certificate is off and the loop runs to 24
+    want = m.projective_order(24)
+    assert m.scale(2).projective_order(24) == want
+    assert m.scale(Fraction(1, 3)).projective_order(24) == want
+
+
 # -- the trace certificate of infinite order ---------------------------------------------
 
 
 def _certified(m: CycMatrix, bound: int) -> bool:
-    return any(_breaks_trace_bound(p, s) for _, p, s in m._scaled_powers(bound))
+    return any(_breaks_trace_bound(m**t) for t in range(1, bound + 1))
 
 
 def test_trace_certificate_needs_a_root_of_unity_determinant():
     # M = diag(2, 2*zeta_6) breaks the trace bound at once, but M^6 = 64*I:
     # det M = 4*zeta_6 is no root of unity, so the certificate must not fire
     m = CycMatrix.diagonal([2, embed(RootOfUnity.of(1, 6), 6) * 2], 6)
-    assert _breaks_trace_bound(m, Fraction(1))
+    assert _breaks_trace_bound(m)
     assert m.det().as_root_of_unity() is None
     assert m.projective_order(10) == 6
 
@@ -413,12 +488,13 @@ def test_trace_certificate_reads_an_odd_conductor_determinant_over_the_lift(
     assert powers <= 3
 
 
-def test_trace_bound_scales_with_the_stripped_content():
-    # M has order 3 (char poly t^2 + t + 1).  M^2 has denominator 3, so the
-    # loop keeps P = 3*M^2, whose trace -3 passes only against 3^2 times the
-    # bound; M^3 = I, so the factor comes off again
+def test_trace_bound_reads_rational_powers_unscaled():
+    # M has order 3 (char poly t^2 + t + 1) and rational entries: M^2 has
+    # denominator 3, yet its trace -1 is a sum of two roots of unity, so
+    # the unscaled bound holds at every power
     m = CycMatrix.from_rows([[0, Fraction(-1, 3)], [3, -1]], 1)
-    assert [s for _, _, s in m._scaled_powers(3)] == [1, 3, 1]
+    assert (m**2).rows[0][1].den == 3
+    assert (m**2).trace() == CycNumber.from_rational(-1, 1)
     assert not _certified(m, 3)
     assert m.projective_order(10) == 3
 

@@ -1,5 +1,6 @@
 """Every import and every private top-level name of a package module is read
-in that module, so a deletion leaves nothing unused behind."""
+in that module, and so is every private method of its classes (as an
+attribute), so a deletion leaves nothing unused behind."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,28 @@ def test_every_import_and_private_name_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = [n for n in _bound_names(tree) if n not in _read_names(tree)]
     assert unused == [], f"{path.name}: unused {unused}"
+
+
+def _private_methods(tree: ast.Module) -> list[str]:
+    """Class.name for every private method of a top-level class."""
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_private_method_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unused = [m for m in _private_methods(tree) if m.split(".")[1] not in read]
+    assert unused == [], f"{path.name}: unread {unused}"
