@@ -64,14 +64,16 @@ def _unwritable(path: str, reason: str) -> B3ImageError:
 
 
 def _check_output(path: str | None) -> None:
-    """Refuse an --output path that is a directory, lacks its parent
+    """Refuse an --output path that is empty or a directory, lacks its parent
     directory, is a file the process cannot write or is a new file in a
     directory the process cannot write, before the command runs; the file is
     neither created nor truncated."""
     if path is None:
         return
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:  # open("") fails with ENOENT
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         try:  # stat gives the reason open() would: ENOENT, or ENOTDIR under a file

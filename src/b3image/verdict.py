@@ -9,12 +9,11 @@ for primitive groups.  Every step it took is recorded in the verdict trace.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import InternalInconsistency, InvalidOrder, NotPO7
+from .errors import InternalInconsistency, InvalidOrder, InvalidSpec, NotPO7
 from .exactfield import MINUS_ONE, ONE, RootOfUnity
 from .repforms import (
     EXISTENCE_FAILS,
@@ -131,46 +130,53 @@ def projective_order_of_spec(spec: EigenSpec) -> int:
 # -- imprimitive pattern detection --------------------------------------------
 
 
+def _cosets(spec: EigenSpec, k: int) -> list[RootOfUnity]:
+    """The cosets r*mu_k of the k-th roots of unity inside the spectrum, each
+    named by its member r of least exponent, in increasing order of r."""
+    present = {r.exponent for r in spec.eigenvalues}
+    steps = [Fraction(j, k) for j in range(1, k)]
+    return sorted(
+        {
+            r
+            for r in spec.eigenvalues
+            if r.exponent * k < 1 and all(r.exponent + s in present for s in steps)
+        },
+        key=lambda r: r.exponent,
+    )
+
+
 def _full_coset(spec: EigenSpec) -> ImprimitivePattern | None:
-    d = spec.dim
-    base = min(spec.eigenvalues, key=lambda r: r.exponent)
-    ratios = {(r / base).exponent for r in spec.eigenvalues}
-    if ratios == {Fraction(i, d) for i in range(d)}:
-        return ImprimitivePattern(FULL_COSET, chi=base, coset_order=d)
-    return None
+    cosets = _cosets(spec, spec.dim)
+    if not cosets:
+        return None
+    return ImprimitivePattern(FULL_COSET, chi=cosets[0], coset_order=spec.dim)
+
+
+def _coset_plus_alpha(spec: EigenSpec, k: int, variant: str) -> ImprimitivePattern | None:
+    """One coset chi*mu_k at dim k + 1; alpha is the eigenvalue left over."""
+    cosets = _cosets(spec, k) if spec.dim == k + 1 else []
+    if not cosets:
+        return None
+    chi = cosets[0]
+    rest = list(spec.eigenvalues)
+    for j in range(k):
+        rest.remove(chi * RootOfUnity(Fraction(j, k)))
+    return ImprimitivePattern(variant, chi=chi, alpha=rest[0])
 
 
 def _plus_minus_plus_alpha(spec: EigenSpec) -> ImprimitivePattern | None:
-    if spec.dim != 3:
-        return None
-    lam = spec.eigenvalues
-    for i, j in itertools.combinations(range(3), 2):
-        if lam[i] == -lam[j]:
-            chi = min(lam[i], lam[j], key=lambda r: r.exponent)
-            alpha = lam[3 - i - j]
-            return ImprimitivePattern(PLUS_MINUS_PLUS_ALPHA, chi=chi, alpha=alpha)
-    return None
+    return _coset_plus_alpha(spec, 2, PLUS_MINUS_PLUS_ALPHA)
+
+
+def _c3_coset_plus_alpha(spec: EigenSpec) -> ImprimitivePattern | None:
+    return _coset_plus_alpha(spec, 3, C3_COSET_PLUS_ALPHA)
 
 
 def _plus_minus_pairs(spec: EigenSpec) -> ImprimitivePattern | None:
-    if spec.dim != 4:
+    cosets = _cosets(spec, 2) if spec.dim == 4 else []
+    if len(cosets) != 2:
         return None
-    values = list(spec.eigenvalues)
-    used = [False] * 4
-    pairs = []
-    for i in range(4):
-        if used[i]:
-            continue
-        for j in range(i + 1, 4):
-            if not used[j] and values[j] == -values[i]:
-                pairs.append((values[i], values[j]))
-                used[i] = used[j] = True
-                break
-        else:
-            return None
-    rep = lambda pair: min(pair, key=lambda r: r.exponent)
-    pairs.sort(key=lambda pair: rep(pair).exponent)
-    a, b = rep(pairs[0]), rep(pairs[1])
+    a, b = cosets
     u0 = a / b
     # the four normal forms (r_hat, s_hat) with u = r_hat / s_hat; present the
     # one with minimal (order, exponent) of u
@@ -182,21 +188,6 @@ def _plus_minus_pairs(spec: EigenSpec) -> ImprimitivePattern | None:
     ]
     u_star, r_hat, s_hat = min(candidates, key=lambda c: (c[0].order, c[0].exponent))
     return ImprimitivePattern(PLUS_MINUS_PAIRS, u=u_star, pair_reps=(r_hat, s_hat))
-
-
-def _c3_coset_plus_alpha(spec: EigenSpec) -> ImprimitivePattern | None:
-    if spec.dim != 4:
-        return None
-    thirds = {Fraction(0), Fraction(1, 3), Fraction(2, 3)}
-    for triple in itertools.combinations(range(4), 3):
-        lam = [spec.eigenvalues[i] for i in triple]
-        base = min(lam, key=lambda r: r.exponent)
-        if {(r / base).exponent for r in lam} == thirds:
-            rest = ({0, 1, 2, 3} - set(triple)).pop()
-            return ImprimitivePattern(
-                C3_COSET_PLUS_ALPHA, chi=base, alpha=spec.eigenvalues[rest]
-            )
-    return None
 
 
 # the pattern tests in precedence order; `classify` runs only the tests past
@@ -235,6 +226,8 @@ def classify_block_case(u: RootOfUnity, d_sign: int | None = None) -> Verdict:
     d_sign here is the pair parameter D = +-1 of the normalized form whose
     spectrum is {1, -1, u, -u}; None means the caller does not know it.
     """
+    if d_sign not in (None, 1, -1):
+        raise InvalidSpec(f"d_sign must be +1 or -1, got {d_sign}")
     o = u.order
     if o in (1, 2, 4):
         raise InvalidOrder(f"block case requires order(u) not in {{1, 2, 4}}, got {o}")
@@ -271,38 +264,24 @@ def _table_d(spec: EigenSpec, pattern: ImprimitivePattern) -> int | None:
 # -- dim 3, projective order 7: the parity test --------------------------------
 
 
-def _affine_orbit(seed: tuple[int, ...]) -> frozenset[frozenset[int]]:
-    orbit = set()
-    for a in range(1, 7):
-        for c in range(7):
-            orbit.add(frozenset((a * x + c) % 7 for x in seed))
-    return frozenset(orbit)
-
-
-_ODD_ORBIT = _affine_orbit((0, 1, 3))
-_EVEN_ORBIT = _affine_orbit((0, 1, 2))
-
-
 def d3_po7_parity(spec: EigenSpec) -> str:
     """Odd/Even split of dim-3 specs with projective order 7.
 
-    Scaling shifts the exponent triple (mod 7) and Galois conjugation scales
-    it, so the classification is by membership in the two affine orbits of
-    3-subsets of Z_7; they partition all 35 subsets into 14 Odd and 21 Even.
+    A spectrum is Odd when its ratios r/s are all seven 7th roots of unity,
+    that is when the six pairwise differences of its exponents (times 7, mod
+    7) are the six nonzero residues.  Those triples are the 14 lines of the
+    two cyclic Fano planes on Z_7 (the translates of {0, 1, 3} and of
+    {0, 1, 5}), out of 35 3-subsets.  Scaling shifts a triple and Galois
+    conjugation scales it; both keep the differences' property, so the Odd
+    triples form one affine orbit and the 21 Even triples the other.
     """
     if spec.dim != 3:
         raise NotPO7(f"parity test needs dim 3, got {spec.dim}")
     if projective_order_of_spec(spec) != 7:
         raise NotPO7("parity test needs projective order 7")
-    base = spec.eigenvalues[0]
-    triple = frozenset(
-        int((r / base).exponent * 7) % 7 for r in spec.eigenvalues
-    )
-    if triple in _ODD_ORBIT:
-        return ODD
-    if triple in _EVEN_ORBIT:
-        return EVEN
-    raise InternalInconsistency("po=7 exponent triple outside both parity orbits")
+    lam = spec.eigenvalues
+    ratios = {(r / s).exponent for r in lam for s in lam}
+    return ODD if len(ratios) == 7 else EVEN
 
 
 # -- the cascade ----------------------------------------------------------------
@@ -350,16 +329,7 @@ def classify(spec: EigenSpec, non_root_flag: bool = False) -> Verdict:
             trace.append(("o_u", str(pattern.u.order)))
             trace.append(("D", str(table_d) if table_d is not None else "unknown"))
             sub = classify_block_case(pattern.u, table_d)
-            return Verdict(
-                sub.kind,
-                sub.rule,
-                po=po,
-                pattern=pattern,
-                o_u=sub.o_u,
-                d_sign=sub.d_sign,
-                parity=None,
-                trace=tuple(trace),
-            )
+            return replace(sub, po=po, pattern=pattern, trace=tuple(trace))
         return Verdict(FINITE, "2.1(c)(i)", po=po, pattern=pattern, trace=tuple(trace))
 
     if spec.dim == 2:

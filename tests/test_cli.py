@@ -216,6 +216,18 @@ def test_unwritable_output_is_an_input_error(
     assert list(locked.iterdir()) == [] and plain.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_empty_output_path_is_refused_before_the_run(capsys, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before --output was checked")
+
+    for name in ("classify", "projective_closure", "reproduce", "sweep_rows"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run_cli(capsys, *_RUNS[command], "--output", "")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == "error: cannot write --output : No such file or directory\n"
+
+
 def test_writable_existing_output_file_needs_no_writable_directory(
     capsys, monkeypatch, tmp_path
 ):
@@ -230,13 +242,13 @@ def test_writable_existing_output_file_needs_no_writable_directory(
 
 def test_internal_inconsistency_has_its_own_exit_code(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
-        raise InternalInconsistency("po=7 exponent triple outside both parity orbits")
+        raise InternalInconsistency("d=3 po=6 spec survived validation and pattern matching")
 
     monkeypatch.setattr(cli, "classify", unreachable)
     code, out, err = run_cli(capsys, "classify", "--dim", "3", "--eig", "0/1,1/7,5/7")
     assert code == EXIT_INTERNAL == 4
     assert out == ""
-    assert err.startswith("internal error: po=7 exponent triple")
+    assert err.startswith("internal error: d=3 po=6 spec survived")
     assert "Traceback" not in err
 
 

@@ -1,14 +1,16 @@
 """The decision cascade: pattern detection, the block-case table, the
 dimension-3 order-7 parity rule, and every classification route."""
 
+import hashlib
 import itertools
+import json
 import sys
 from fractions import Fraction
 
 import pytest
 
 from b3image import verdict as verdict_module
-from b3image.errors import InvalidOrder, NotPO7
+from b3image.errors import InvalidOrder, InvalidSpec, NotPO7
 from b3image.exactfield import MINUS_ONE, ONE, RootOfUnity
 from b3image.repforms import EigenSpec, block_spec
 from b3image.verdict import (
@@ -167,6 +169,15 @@ def test_block_case_sign_dependent_orders_5_10():
         assert verdict.kind == INFINITE and verdict.rule == "2.1(c)(ii)/4.2(c)"
 
 
+@pytest.mark.parametrize("d_sign", [2, 0, -2, "+", "-"])
+def test_block_case_refuses_a_d_outside_plus_minus_one(d_sign):
+    # D = +-1 is the pair parameter of the normal form; any other value is
+    # an input error, whatever the order of u
+    for k, n in ((1, 5), (1, 3), (1, 7), (1, 4)):
+        with pytest.raises(InvalidSpec, match=f"d_sign must be \\+1 or -1, got {d_sign}"):
+            classify_block_case(RootOfUnity.of(k, n), d_sign)
+
+
 # -- parity of dimension-3 order-7 spectra --------------------------------------------
 
 
@@ -208,6 +219,14 @@ def test_parity_scaling_invariant():
     scaled = EigenSpec(3, tuple(chi * r for r in base.eigenvalues))
     assert d3_po7_parity(scaled) == d3_po7_parity(base) == ODD
 
+
+
+def test_repeated_spectra_give_no_degenerate_pair_and_even_parity():
+    # rule 2.1(a) settles these before any pattern or parity test; read
+    # directly, {a, a, -a, -a} holds one +- coset, not two, and a repeated
+    # triple's ratios are not all seven 7th roots of unity
+    assert all_patterns(spec_of("0/1", "0/1", "1/2", "1/2")) == ()
+    assert d3_po7_parity(spec_of("0/1", "0/1", "1/7")) == EVEN
 
 # -- the cascade -----------------------------------------------------------------------
 
@@ -348,3 +367,66 @@ def test_verdict_json_round_trip():
         data = verdict.to_json()
         assert Verdict.from_json(data) == verdict
         assert Verdict.from_json(data).to_json() == data
+
+
+# -- every witness the cascade reports ---------------------------------------------------
+
+# sha256 prefixes of the JSON of every verdict and every pattern match over a
+# sweep (every normalized spectrum of the dimension whose orders divide the
+# sweep's order), and of the parity over d3/21; any change to a kind, rule,
+# po, trace or witness (chi, alpha, u, pair_reps, coset_order) changes them.
+# `choice` is the dim-4 D, or "gamma" for each of the five fifth roots of det.
+_WITNESS_DIGESTS = [
+    ("d2/60", 2, 60, None, "107860540fe0c4df"),
+    ("d3/30", 3, 30, None, "d2f48d3a2896fd2b"),
+    ("d4/24", 4, 24, None, "649c49c09c9e4645"),
+    ("d4/24 D=+1", 4, 24, 1, "15284d254acf5a53"),
+    ("d4/24 D=-1", 4, 24, -1, "1624b26b03c2afaf"),
+    ("d5/10", 5, 10, None, "4a8c6b9fb734da20"),
+    ("d5/10 each gamma", 5, 10, "gamma", "88d55a20af7985e9"),
+]
+_PARITY_DIGEST = "e91209b1584b75d5"
+
+
+def _normalized_specs(dim, max_order, d_sign=None):
+    pool = [Fraction(k, max_order) for k in range(1, max_order)]
+    for combo in itertools.combinations(pool, dim - 1):
+        yield EigenSpec.from_exponents((Fraction(0),) + combo, d_sign=d_sign)
+
+
+def _sweep_specs(dim, max_order, choice):
+    if choice != "gamma":
+        yield from _normalized_specs(dim, max_order, choice)
+        return
+    for spec in _normalized_specs(dim, max_order):
+        det = spec.determinant().exponent
+        for j in range(5):
+            yield EigenSpec(dim, spec.eigenvalues, gamma=RootOfUnity((det + j) / 5))
+
+
+def _digest(records):
+    text = "\n".join(json.dumps(r, sort_keys=True, ensure_ascii=False) for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "sweep, dim, max_order, choice, digest",
+    _WITNESS_DIGESTS,
+    ids=[row[0] for row in _WITNESS_DIGESTS],
+)
+def test_every_witness_of_the_sweep_is_pinned(sweep, dim, max_order, choice, digest):
+    records = [
+        [classify(spec).to_json(), [p.to_json() for p in all_patterns(spec)]]
+        for spec in _sweep_specs(dim, max_order, choice)
+    ]
+    assert _digest(records) == digest, sweep
+
+
+def test_every_parity_of_d3_21_is_pinned():
+    records = []
+    for spec in _normalized_specs(3, 21):
+        try:
+            records.append(d3_po7_parity(spec))
+        except NotPO7:
+            records.append("NotPO7")
+    assert _digest(records) == _PARITY_DIGEST
