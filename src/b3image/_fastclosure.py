@@ -36,19 +36,20 @@ performs is exact, whatever its summation order, blocking, FMA use or thread
 count, and the result is the integer product.  So Completed and Exceeded
 outcomes are fully trusted.
 
-Each BFS level runs in row blocks of _BLOCK frontier rows, so temporaries
-scale with the block and not with the frontier.  A level that cannot pass the
-bound, because even G new elements per frontier row (G generators) keep the
-count within it, runs as one group: each block is multiplied by every
-generator at once, under one guard on the largest table entry, and put in
-canonical form and deduped in one round.  Any other level runs generator by
-generator, each pass over every block guarded by that generator's own table,
-with the bound checked after each generator's whole batch.  No count depends
-on this choice or on _BLOCK: what the first g generators add to a level is a
-set that no order of frontier rows changes; a grouped level forms every
-product, and trips a guard exactly when, the per-generator passes would,
-since the largest table entry is the largest of theirs; and a level that
-may pass the bound runs the per-generator passes themselves.
+The BFS runs as passes, each multiplying the whole frontier by some of the
+generators; `passes` yields after each one, and grouporacle._count counts
+them and checks the bound.  A pass runs in row blocks of _BLOCK frontier
+rows, so temporaries scale with the block and not with the frontier.  A level
+that cannot pass the bound, because even G new elements per frontier row (G
+generators) keep the count within it, is one pass of every generator: each
+block is multiplied by all of them at once, under one guard on the largest
+table entry, and put in canonical form and deduped in one round.  Any other
+level is one pass per generator, guarded by that generator's own table.
+Neither the grouping nor _BLOCK changes the classes a level finds: what the
+first g generators add to a level is a set that no order of frontier rows
+changes, and a grouped pass forms every product, and trips a guard exactly
+when the per-generator passes would, since the largest table entry is the
+largest of theirs.
 
 The visited set keys each canonical form by its coordinates cast to the
 narrowest of int8, int16, int32 and float64 that holds every coordinate seen
@@ -61,14 +62,14 @@ add 0.0: each integer then has one float64 bit pattern, which keeps the
 float64 keys, and the generator classes keyed on float64 bytes, exact too.
 
 Everything here is an internal accelerator.  grouporacle falls back to the
-exact CycMatrix engine when Unsuitable is raised; completed outcomes always
-describe the identical element set.
+exact CycMatrix engine when Unsuitable is raised; its passes count the same.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -229,14 +230,14 @@ def _rekey(keys: set[bytes], old: np.dtype, new: np.dtype) -> set[bytes]:
     return set(_keys(rows, new))
 
 
-def run(
+def passes(
     generators: list[CycMatrix], dets: list[CycNumber], bound: int
-) -> tuple[bool, int, dict]:
-    """Closure by BFS over the tensor representation; `dets` are the
-    generators' determinants.
+) -> Iterator[tuple[int, int, int]]:
+    """BFS over the tensor representation; `dets` are the generators'
+    determinants, and `bound` only picks how each level splits into passes.
 
-    Returns (completed, count, stats); count is the element total when
-    completed, else the key count reached when the bound was passed.
+    After each pass yields (frontier size, generators in the pass, classes
+    found so far); the BFS has completed when the iterator is exhausted.
     """
     mats = list(generators)
     n = mats[0].conductor
@@ -263,12 +264,11 @@ def run(
     frontier = forms[:1]
     limit, dtype = _key_width(_magnitude(frontier))
     visited: set[bytes] = set(_keys(frontier, dtype))
-    stats = {"products": 0, "peak_frontier": 1, "engine": "fast"}
     while len(frontier):
         fresh: list[np.ndarray] = []
         # grouped only when even len(tables) new keys per row stay within the bound
-        passes = grouped if len(visited) + len(tables) * len(frontier) <= bound else one_by_one
-        for group_tables, group_max in passes:
+        level = grouped if len(visited) + len(tables) * len(frontier) <= bound else one_by_one
+        for group_tables, group_max in level:
             for start in range(0, len(frontier), _BLOCK):
                 block = frontier[start : start + _BLOCK]
                 prods = eng.multiply(block, group_tables, group_max)
@@ -283,9 +283,5 @@ def run(
                 # set.add returns None: each key is tested, then added
                 new = [i for i, key in enumerate(keys) if not (key in visited or visited.add(key))]
                 fresh.append(canon[new])
-            stats["products"] += len(group_tables) * len(frontier)
-            if len(visited) > bound:
-                return False, len(visited), stats
+            yield len(frontier), len(group_tables), len(visited)
         frontier = np.concatenate(fresh)
-        stats["peak_frontier"] = max(stats["peak_frontier"], len(frontier))
-    return True, len(visited), stats

@@ -200,10 +200,6 @@ def _trace_row(n: int) -> tuple[int, ...]:
     )
 
 
-def euler_phi(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 

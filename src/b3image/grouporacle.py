@@ -8,16 +8,17 @@ elements identified by projective canonical form.  No inverse is needed: a
 finite subsemigroup of a group is a subgroup, so the positive words give the
 whole image when it is finite and infinitely many elements when it is not,
 and Completed(order) and ExceededBound come out as for the whole group at
-every bound.  A numpy engine accelerates the common case; it produces the
-identical element set and the exact engine takes over whenever its
-preconditions fail.  That engine, and numpy with it, is imported by the
-first closure, so importing this module or deciding from spectra alone
-never loads numpy.
+every bound.  A numpy engine accelerates the common case, and the exact
+engine takes over whenever its preconditions fail; both yield their BFS pass
+by pass to _count, which counts the passes and checks the bound.  The numpy
+engine, and numpy with it, is imported by the first closure, so importing
+this module or deciding from spectra alone never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .cyclolinalg import CycMatrix
 from .exactfield import CycNumber, positive_power
@@ -132,26 +133,49 @@ def _validate_generators(generators: list[CycMatrix]) -> list[CycNumber]:
     return dets
 
 
-def _exact_closure(generators: list[CycMatrix], bound: int) -> ClosureResult:
+def _count(passes: Iterable[tuple[int, int, int]], bound: int, engine: str) -> ClosureResult:
+    """Count a BFS that yields (frontier size, generators in the pass, classes
+    found so far) after each pass, and stop it once it passes the bound.
+
+    `products` is frontier size times generators, summed over the passes, and
+    `peak_frontier` the largest frontier multiplied.  The bound is checked
+    after each pass, so the pass that crosses it runs whole and is counted.
+    Both engines give the same result: after each generator of a level the
+    classes found form a set that no order of frontier rows changes, and the
+    fast engine runs a level as one pass of every generator only when that
+    level cannot cross the bound, where one pass and one per generator count
+    the same products.
+    """
+    stats = {"products": 0, "peak_frontier": 0, "engine": engine}
+    for frontier, width, count in passes:
+        stats["products"] += frontier * width
+        stats["peak_frontier"] = max(stats["peak_frontier"], frontier)
+        if count > bound:
+            return ClosureResult(EXCEEDED, None, bound, stats)
+    return ClosureResult(COMPLETED, count, bound, stats)
+
+
+def _exact_passes(generators: list[CycMatrix]) -> Iterator[tuple[int, int, int]]:
+    """The reference BFS in exact CycMatrix arithmetic: each level runs one
+    generator at a time, and yields as _fastclosure.passes does."""
     gens = list(dict.fromkeys(g.projective_canonical() for g in generators))
     ident = CycMatrix.identity(generators[0].dim, generators[0].conductor)
     visited: set[CycMatrix] = {ident}
     frontier: list[CycMatrix] = [ident]
-    stats = {"products": 0, "peak_frontier": 1, "engine": "exact"}
     while frontier:
         fresh: list[CycMatrix] = []
-        for m in frontier:
-            for g in gens:
-                stats["products"] += 1
+        for g in gens:
+            for m in frontier:
                 c = (m * g).projective_canonical()
                 if c not in visited:
                     visited.add(c)
-                    if len(visited) > bound:
-                        return ClosureResult(EXCEEDED, None, bound, stats)
                     fresh.append(c)
-        stats["peak_frontier"] = max(stats["peak_frontier"], len(fresh))
+            yield len(frontier), 1, len(visited)
         frontier = fresh
-    return ClosureResult(COMPLETED, len(visited), bound, stats)
+
+
+def _exact_closure(generators: list[CycMatrix], bound: int) -> ClosureResult:
+    return _count(_exact_passes(generators), bound, "exact")
 
 
 def projective_closure(
@@ -162,8 +186,8 @@ def projective_closure(
     Right multiplication by the generators alone reaches the positive words,
     which exhaust the group when it is finite (see the module docstring).
     Completed(order) when the set stabilizes within the bound, ExceededBound
-    otherwise.  The element set (and hence the order) is independent of the
-    engine, of generator order, and of traversal order.
+    otherwise, counted by _count.  The element set (and hence the order) is
+    independent of the engine, of generator order, and of traversal order.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -171,11 +195,9 @@ def projective_closure(
     from . import _fastclosure  # here, not at the top: spectrum-only runs never load numpy
 
     try:
-        completed, count, stats = _fastclosure.run(generators, dets, bound)
+        return _count(_fastclosure.passes(generators, dets, bound), bound, "fast")
     except _fastclosure.Unsuitable:
         return _exact_closure(generators, bound)
-    outcome = COMPLETED if completed else EXCEEDED
-    return ClosureResult(outcome, count if completed else None, bound, stats)
 
 
 def check_relation(generators: list[CycMatrix], lhs: Word, rhs: Word) -> bool:

@@ -202,13 +202,14 @@ def _matches(spec: EigenSpec, tests: tuple) -> tuple[ImprimitivePattern, ...]:
 
 
 def all_patterns(spec: EigenSpec) -> tuple[ImprimitivePattern, ...]:
-    """Every syntactically matching pattern, in precedence order.
+    """Every syntactically matching pattern, in precedence order; none for a
+    repeated spectrum, which no pattern describes.
 
     `classify` runs these tests without FullCoset: it reaches them only at
     projective order po >= 6, and a full coset of the d-th roots of unity
     has po dividing d <= 5, so FullCoset cannot match there.
     """
-    return _matches(spec, _PATTERN_TESTS)
+    return _matches(spec, _PATTERN_TESTS) if spec.is_distinct() else ()
 
 
 def match_imprimitive_pattern(spec: EigenSpec) -> ImprimitivePattern | None:

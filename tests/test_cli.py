@@ -280,8 +280,19 @@ def test_closure_exceeded_exit_code(capsys):
         "--format", "json",
     )
     assert code == EXIT_EXCEEDED
-    data = json.loads(out)
-    assert data["outcome"] == "ExceededBound" and data["order"] is None
+    # every byte: the pass that crosses the bound is counted whole
+    assert out == (
+        "{\n"
+        '  "bound": 50,\n'
+        '  "order": null,\n'
+        '  "outcome": "ExceededBound",\n'
+        '  "stats": {\n'
+        '    "engine": "fast",\n'
+        '    "peak_frontier": 20,\n'
+        '    "products": 72\n'
+        "  }\n"
+        "}\n"
+    )
 
 
 def test_readme_closure_example_matches_the_cli(capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from b3image.cyclolinalg import CycMatrix, _breaks_trace_bound
 from b3image.errors import ConductorMismatch, DimensionMismatch, SingularMatrix, ZeroMatrix
-from b3image.exactfield import CycNumber, RootOfUnity, dot, embed, euler_phi
+from b3image.exactfield import CycNumber, RootOfUnity, dot, embed
 from b3image.grouporacle import Word
 from b3image.qgallery import build_so7, build_so9
 from b3image.repforms import build_d3, build_d4_block
@@ -33,7 +33,7 @@ def matclose(a, b) -> bool:
 
 
 def cnum(n: int):
-    phi = euler_phi(n)
+    phi = int(sympy.totient(n))
     return st.builds(
         lambda coords: CycNumber.from_coords([Fraction(c, 2) for c in coords], n),
         st.lists(st.integers(-4, 4), min_size=phi, max_size=phi),

@@ -318,7 +318,7 @@ def test_closure_guards():
 def test_fast_engine_rejects_non_root_determinant():
     stretch = CycMatrix.from_rows([[2, 0], [0, 1]], 4)
     with pytest.raises(_fastclosure.Unsuitable):
-        _fastclosure.run([stretch], [stretch.det()], 10)
+        list(_fastclosure.passes([stretch], [stretch.det()], 10))
     # the exact engine takes over, and runs out of bound honestly on this
     # infinite cyclic image
     result = projective_closure([stretch], 10)
@@ -334,7 +334,7 @@ def test_fast_engine_overflow_falls_back_to_exact():
         shear = CycMatrix.from_rows([[1, 2**shift], [0, 1]], 1)
         gens = [shear * g * shear.inv() for g in S3_GENS]
         with pytest.raises(_fastclosure.Unsuitable, match="product would overflow"):
-            _fastclosure.run(gens, [g.det() for g in gens], 100)
+            list(_fastclosure.passes(gens, [g.det() for g in gens], 100))
         result = projective_closure(gens, 100)
         assert result.outcome == COMPLETED and result.order == 6
         assert result.stats["engine"] == "exact"
@@ -640,11 +640,14 @@ FROZEN_COUNTS = [
 ]
 
 
-@pytest.mark.parametrize(
+FROZEN_CASES = pytest.mark.parametrize(
     "gens",
     [build_so7(16), build_d4_block(RootOfUnity.of(1, 7), -1)],
     ids=["so7(16)", "d4block(1/7,-1)"],
 )
+
+
+@FROZEN_CASES
 def test_fast_closure_counts_across_the_level_grouping(gens):
     # a level runs grouped only while it cannot pass the bound; sweeping the
     # bound puts the switch at every level and every generator of it
@@ -654,6 +657,19 @@ def test_fast_closure_counts_across_the_level_grouping(gens):
             stats = result.stats
             got = (result.outcome, result.order, stats["products"], stats["peak_frontier"])
             assert got + (stats["engine"],) == want, bound
+
+
+@FROZEN_CASES
+def test_exact_closure_counts_as_the_fast_engine(gens):
+    # the reference engine runs every level one generator per pass, and
+    # _count checks the bound after each pass as it does for the fast engine;
+    # both ends of each row, as the whole sweep is too slow here
+    for first, last, want in FROZEN_COUNTS:
+        for bound in (first, last):
+            result = grouporacle._exact_closure(list(gens), bound)
+            stats = result.stats
+            got = (result.outcome, result.order, stats["products"], stats["peak_frontier"])
+            assert got == want[:4] and stats["engine"] == "exact", bound
 
 
 def _counting(calls, name, method):

@@ -223,9 +223,14 @@ def test_parity_scaling_invariant():
 
 def test_repeated_spectra_give_no_degenerate_pair_and_even_parity():
     # rule 2.1(a) settles these before any pattern or parity test; read
-    # directly, {a, a, -a, -a} holds one +- coset, not two, and a repeated
-    # triple's ratios are not all seven 7th roots of unity
-    assert all_patterns(spec_of("0/1", "0/1", "1/2", "1/2")) == ()
+    # directly, {1, 1, -1} would be the +- coset {1, -1} with alpha = 1,
+    # {1, 1, w, w^2} the C3 coset with alpha = 1, and {a, a, -a, -a} holds
+    # one +- coset, not two; and a repeated triple's ratios are not all seven
+    # 7th roots of unity
+    repeated = [("0/1", "0/1", "1/2"), ("0/1", "0/1", "1/3", "2/3"), ("0/1", "0/1", "1/2", "1/2")]
+    for exponents in repeated:
+        spec = spec_of(*exponents)
+        assert all_patterns(spec) == () and match_imprimitive_pattern(spec) is None
     assert d3_po7_parity(spec_of("0/1", "0/1", "1/7")) == EVEN
 
 # -- the cascade -----------------------------------------------------------------------
