@@ -220,17 +220,6 @@ class CycMatrix:
                 power = power * self
         return None
 
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "conductor": self.conductor,
-            "entries": [
-                [[str(c) for c in v.coords] for v in row] for row in self.rows
-            ],
-        }
-
     def __str__(self) -> str:
         return "\n".join(
             "[" + ", ".join(str(v) for v in row) + "]" for row in self.rows

@@ -41,7 +41,7 @@ class InvalidRange(B3ImageError):
     """A builder parameter is outside its valid range."""
 
 
-class OutOfRange(B3ImageError):
+class OutOfRange(InvalidRange):
     """A gallery row parameter is outside the family's valid range."""
 
 

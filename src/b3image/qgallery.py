@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclolinalg import CycMatrix
-from .errors import InvalidRange, OutOfRange
+from .errors import OutOfRange
 from .exactfield import RootOfUnity
 from .grouporacle import (
     COMPLETED,
@@ -26,7 +26,7 @@ from .grouporacle import (
     projective_closure,
 )
 from .repforms import EigenSpec, _sign_for, build
-from .verdict import _D4_ACHIEVABLE, FINITE, INFINITE, UNDECIDABLE, Verdict, classify
+from .verdict import FINITE, INFINITE, UNDECIDABLE, Verdict, classify
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,17 @@ def get_family(name: str) -> QGFamily:
     return fam
 
 
-def _resolve(family: QGFamily | str) -> QGFamily:
-    return family if isinstance(family, QGFamily) else get_family(family)
+def _level(family: QGFamily | str, ell: int) -> QGFamily:
+    """The family, once ell is a level it defines (else OutOfRange)."""
+    fam = family if isinstance(family, QGFamily) else get_family(family)
+    if not fam.valid(ell):
+        raise OutOfRange(f"{fam.name} is not defined at ell={ell}")
+    return fam
 
 
 def qg_spec(family: QGFamily | str, ell: int) -> EigenSpec:
     """The eigenvalue spec of the braiding generator at level ell."""
-    fam = _resolve(family)
-    if not fam.valid(ell):
-        raise OutOfRange(f"{fam.name} is not defined at ell={ell}")
+    fam = _level(family, ell)
     n = 2 * ell
 
     def root(k: int, negative: bool) -> RootOfUnity:
@@ -131,16 +133,18 @@ def qg_spec(family: QGFamily | str, ell: int) -> EigenSpec:
 
 
 def build_so7(ell: int) -> tuple[CycMatrix, CycMatrix]:
-    """The 4x4 spin-representation pair at even level ell >= 14 (D = +q^4)."""
-    if not FAMILIES["SO7spin"].valid(ell):
-        raise InvalidRange(f"ell must be even and >= 14, got {ell}")
+    """The 4x4 spin-representation pair at even level ell >= 14 (D = +q^4).
+
+    Any other level raises OutOfRange from `qg_spec`.
+    """
     return build(qg_spec("SO7spin", ell))
 
 
 def build_so9(ell: int) -> tuple[CycMatrix, CycMatrix]:
-    """The 5x5 spin-representation pair at even level ell >= 18 (gamma = q^12)."""
-    if not FAMILIES["SO9spin"].valid(ell):
-        raise InvalidRange(f"ell must be even and >= 18, got {ell}")
+    """The 5x5 spin-representation pair at even level ell >= 18 (gamma = q^12).
+
+    Any other level raises OutOfRange from `qg_spec`.
+    """
     return build(qg_spec("SO9spin", ell))
 
 
@@ -162,9 +166,7 @@ class Expectation:
 
 
 def expectation(family: QGFamily | str, ell: int) -> Expectation:
-    fam = _resolve(family)
-    if not fam.valid(ell):
-        raise OutOfRange(f"{fam.name} is not defined at ell={ell}")
+    fam = _level(family, ell)
     if fam.name == "G2":
         if ell % 3 == 0:
             if ell == 24:
@@ -200,9 +202,8 @@ def expectation(family: QGFamily | str, ell: int) -> Expectation:
                 FINITE, None, '"G is a finite imprimitive group by Theorem (c)(i)"'
             )
         quote = '"provided ℓ/2∉{7,8,9,10,12,15,15,20,24}, G is infinite" [sic]'
-        # the quoted exemption list is the d=4 gap set _D4_ACHIEVABLE minus 6;
-        # valid ell is even and >= 14, so ell/2 >= 7 and 6 never arises
-        if ell // 2 in _D4_ACHIEVABLE:
+        # the quoted list itself: the claim must not move with the cascade's tables
+        if ell // 2 in (7, 8, 9, 10, 12, 15, 20, 24):
             return Expectation(
                 UNDECIDABLE, None, quote + " (this ℓ is exempt, no claim made)"
             )
@@ -276,7 +277,7 @@ def reproduce(
 ) -> ReproductionReport:
     """Classify the family's spec at ell, certify with the closure oracle
     when a builder exists, and compare against the recorded claim."""
-    fam = _resolve(family)
+    fam = _level(family, ell)
     spec = qg_spec(fam, ell)
     verdict = classify(spec)
     closure = None

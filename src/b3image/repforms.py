@@ -178,9 +178,6 @@ class ValidationReport:
     status: str
     witnesses: tuple[str, ...] = field(default=())
 
-    def to_json(self) -> dict:
-        return {"status": self.status, "witnesses": list(self.witnesses)}
-
 
 _PAIR_PARTITIONS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 

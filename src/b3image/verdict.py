@@ -64,19 +64,6 @@ class ImprimitivePattern:
             "coset_order": self.coset_order,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> ImprimitivePattern:
-        parse = lambda s: RootOfUnity.parse(s) if s is not None else None
-        reps = data.get("pair_reps")
-        return cls(
-            variant=data["variant"],
-            chi=parse(data.get("chi")),
-            alpha=parse(data.get("alpha")),
-            u=parse(data.get("u")),
-            pair_reps=tuple(RootOfUnity.parse(r) for r in reps) if reps else None,
-            coset_order=data.get("coset_order"),
-        )
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -102,20 +89,6 @@ class Verdict:
             "parity": self.parity,
             "trace": [list(step) for step in self.trace],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> Verdict:
-        pat = data.get("pattern")
-        return cls(
-            kind=data["kind"],
-            rule=data["rule"],
-            po=data.get("po"),
-            pattern=ImprimitivePattern.from_json(pat) if pat else None,
-            o_u=data.get("o_u"),
-            d_sign=data.get("D"),
-            parity=data.get("parity"),
-            trace=tuple(tuple(step) for step in data.get("trace", ())),
-        )
 
 
 def projective_order_of_spec(spec: EigenSpec) -> int:

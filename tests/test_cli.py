@@ -25,7 +25,7 @@ from b3image.errors import InternalInconsistency
 from b3image.exactfield import RootOfUnity
 from b3image.grouporacle import projective_closure
 from b3image.repforms import block_spec, build_d4_block
-from b3image.verdict import Verdict, all_patterns, classify, projective_order_of_spec
+from b3image.verdict import all_patterns, classify, projective_order_of_spec
 
 GAP_ORDERS = {6, 7, 8, 9, 10, 12, 15, 20, 24}
 
@@ -58,10 +58,10 @@ def test_classify_json_round_trip(capsys):
         "--format", "json",
     )
     assert code == EXIT_OK
-    data = json.loads(out)
-    verdict = Verdict.from_json(data)
-    assert verdict.kind == "Finite" and verdict.rule == "2.1(c)(ii)/4.2(e)"
-    assert verdict.to_json() == data
+    spec = b3image.EigenSpec.from_exponents(["0/1", "1/2", "1/10", "3/5"], d_sign=-1)
+    want = classify(spec).to_json()
+    assert want["kind"] == "Finite" and want["rule"] == "2.1(c)(ii)/4.2(e)"
+    assert json.loads(out) == want
 
 
 def test_classify_dim5_with_gamma(capsys):
@@ -226,6 +226,14 @@ def test_empty_output_path_is_refused_before_the_run(capsys, monkeypatch, comman
     code, out, err = run_cli(capsys, *_RUNS[command], "--output", "")
     assert code == EXIT_INPUT_ERROR and out == ""
     assert err == "error: cannot write --output : No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_after_the_run_is_an_input_error(capsys):
+    # /dev/full passes the pre-check; the write itself fails
+    code, out, err = run_cli(capsys, *_RUNS["classify"], "--output", "/dev/full")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == "error: cannot write --output /dev/full: No space left on device\n"
 
 
 def test_writable_existing_output_file_needs_no_writable_directory(
@@ -470,6 +478,25 @@ def test_qg_table(capsys):
     assert "agreement" in out and "Infinite" in out
 
 
+QG_SO7_14_TABLE = """\
+family     SO7spin
+ell        14
+kind       Undecidable
+rule       2.1(d)(iii)-gap
+closure    Completed(168)
+expected   "|G/Z(G)|=168 so that, projectively, G is PSL(2,7)" (gap row settled by explicit computation)
+agreement  True
+"""
+
+
+def test_qg_table_with_closure(capsys):
+    code, out, _ = run_cli(
+        capsys, "qg", "--family", "SO7spin", "--ell", "14", "--format", "table"
+    )
+    assert code == EXIT_OK
+    assert out == QG_SO7_14_TABLE
+
+
 def test_qg_unknown_family_is_parse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["qg", "--family", "E8", "--ell", "20"])
@@ -537,6 +564,24 @@ def test_sweep_json_format(capsys):
     rows = json.loads(out)
     assert len(rows) == 5
     assert set(rows[0]) == {"dim", "eigenvalues", "po", "pattern", "rule", "kind"}
+
+
+SWEEP_DIM2_TABLE = """\
+dim  eigenvalues  po  pattern  rule       kind
+2    0/1;1/6      6            2.1(d)(i)  Infinite
+2    0/1;1/3      3            2.1(b)     Finite
+2    0/1;1/2      2            2.1(b)     Finite
+2    0/1;2/3      3            2.1(b)     Finite
+2    0/1;5/6      6            2.1(d)(i)  Infinite
+"""
+
+
+def test_sweep_table_format(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--dim", "2", "--max-order", "6", "--format", "table"
+    )
+    assert code == EXIT_OK
+    assert out == SWEEP_DIM2_TABLE
 
 
 def test_sweep_runs_are_byte_identical(capsys, tmp_path):

@@ -581,9 +581,3 @@ def test_matrix_hashable_with_exact_equality():
     b = CycMatrix.identity(2, 1)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-
-
-def test_to_json_round_trippable_text():
-    m = CycMatrix.from_rows([[1, Fraction(1, 2)], [0, 1]], 4)
-    data = m.to_json()
-    assert data["dim"] == 2 and data["conductor"] == 4

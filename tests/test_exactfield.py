@@ -189,6 +189,17 @@ def test_pow_matches_repeated_product(x, k):
     assert x**k == expected
 
 
+@given(st.sampled_from([5, 12]).flatmap(lambda n: st.tuples(numbers(n), numbers(n))))
+@settings(max_examples=60)
+def test_division_negative_power_and_int_on_the_left(xy):
+    x, y = xy
+    if not y.is_zero():
+        assert (x / y) * y == x
+    if not x.is_zero():
+        assert x**-3 == (x**3).inv()
+    assert 2 + x == x + 2
+
+
 def test_rational_detection():
     x = CycNumber.from_rational(Fraction(3, 7), 12)
     assert x.is_rational() and x.as_rational() == Fraction(3, 7)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations, count, product
@@ -326,18 +327,30 @@ def test_fast_engine_rejects_non_root_determinant():
     assert result.stats["engine"] == "exact"
 
 
+# (conjugator, conductor, the guard it trips)
+FALLBACK_CASES = [
+    # a shear of 2^14 gives entries near 2^28 and products near 2^57,
+    # inside int64 but past the float64 carrier's bound
+    ([[1, 2**14], [0, 1]], 1, "product would overflow"),
+    ([[1, 2**20], [0, 1]], 1, "product would overflow"),
+    ([[2, 0], [0, 1]], 1, "non-integral entry"),
+    # entries near 2^54, and near 2^52 over a field of degree 2
+    ([[1, 2**27], [0, 1]], 1, "entry coordinate reaches 2**53"),
+    ([[1, 2**26], [0, 1]], 4, "scalar orbit would overflow"),
+]
+
+
 def test_fast_engine_overflow_falls_back_to_exact():
-    # conjugating by a large shear keeps the group S3 but pushes the guarded
-    # products past 2^53; a shear of 2^14 gives entries near 2^28 and
-    # products near 2^57, inside int64 but past the float64 carrier's bound
-    for shift in (14, 20):
-        shear = CycMatrix.from_rows([[1, 2**shift], [0, 1]], 1)
-        gens = [shear * g * shear.inv() for g in S3_GENS]
-        with pytest.raises(_fastclosure.Unsuitable, match="product would overflow"):
+    # conjugating keeps the group S3 but gives the fast engine generators it
+    # refuses, each at one of its guards; the exact engine then closes them
+    for conjugator, conductor, message in FALLBACK_CASES:
+        c = CycMatrix.from_rows(conjugator, conductor)
+        gens = [c * _fastclosure._lift(g, conductor) * c.inv() for g in S3_GENS]
+        with pytest.raises(_fastclosure.Unsuitable, match=re.escape(message)):
             list(_fastclosure.passes(gens, [g.det() for g in gens], 100))
         result = projective_closure(gens, 100)
-        assert result.outcome == COMPLETED and result.order == 6
-        assert result.stats["engine"] == "exact"
+        assert result.outcome == COMPLETED and result.order == 6, message
+        assert result.stats["engine"] == "exact", message
 
 
 def test_split_prime_splits_every_conductor_up_to_the_builder_cap():

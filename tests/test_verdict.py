@@ -24,7 +24,6 @@ from b3image.verdict import (
     PLUS_MINUS_PAIRS,
     PLUS_MINUS_PLUS_ALPHA,
     UNDECIDABLE,
-    Verdict,
     all_patterns,
     classify,
     classify_block_case,
@@ -355,23 +354,6 @@ def test_classify_is_eigenvalue_order_independent():
     expected = classify(spec_of(*base, d_sign=-1))
     for perm in itertools.permutations(base):
         assert classify(spec_of(*perm, d_sign=-1)) == expected
-
-
-# -- serialization -----------------------------------------------------------------------
-
-
-def test_verdict_json_round_trip():
-    samples = [
-        classify(spec_of("0/1", "1/7", "5/7")),
-        classify(spec_of("0/1", "1/2", "1/10", "3/5", d_sign=-1)),
-        classify(spec_of("0/1", "1/6", "1/3")),
-        classify(spec_of("0/1", "1/9", "2/9", "4/9", "8/9")),
-        classify(spec_of("0/1", "1/2", "1/7")),
-    ]
-    for verdict in samples:
-        data = verdict.to_json()
-        assert Verdict.from_json(data) == verdict
-        assert Verdict.from_json(data).to_json() == data
 
 
 # -- every witness the cascade reports ---------------------------------------------------
