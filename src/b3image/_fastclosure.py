@@ -24,7 +24,7 @@ residues) and every omega^k * h(pivot) stay below 2**53.
 BFS multiplies on the right by one generator per projective class, never an
 inverse (see grouporacle for why), each product one matmul against the
 generator's table of right multiplication; one GEMM builds every generator's
-table.  The generators, tables, scalar orbit, frontier, products and
+table.  The generators, tables, scalar orbit, frontier blocks, products and
 canonical forms are float64 arrays that hold integers, so the products and
 the canonical scaling run as BLAS GEMMs.  This is exact under one bound,
 _EXACT = 2**53: before every such matmul a guard checks that (largest |left
@@ -60,6 +60,13 @@ of an integer is injective, so two keys are equal exactly when their forms
 are.  A GEMM can leave -0.0 where the integer is 0, so the canonical forms
 add 0.0: each integer then has one float64 bit pattern, which keeps the
 float64 keys, and the generator classes keyed on float64 bytes, exact too.
+
+The frontier is its keys: the list of the same bytes objects that the
+visited set holds, in the order the BFS found them.  Each block of _BLOCK
+keys is decoded back to float64 rows when it is multiplied, so a closure
+holds its visited keys and the float64 rows of one block and its products,
+and no second copy of the frontier.  A widening re-keys through one old-to-new map, so the
+visited set, the frontier and the level's new keys share the new bytes.
 
 Everything here is an internal accelerator.  grouporacle falls back to the
 exact CycMatrix engine when Unsuitable is raised; its passes count the same.
@@ -224,10 +231,17 @@ def _keys(rows: np.ndarray, dtype: np.dtype) -> list[bytes]:
     return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
 
 
-def _rekey(keys: set[bytes], old: np.dtype, new: np.dtype) -> set[bytes]:
-    """The same rows keyed at a wider type."""
-    rows = np.frombuffer(b"".join(keys), dtype=old).reshape(len(keys), -1)
-    return set(_keys(rows, new))
+def _rows(keys: list[bytes], dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """The float64 rows of the given shape that the keys of type dtype name."""
+    flat = np.frombuffer(b"".join(keys), dtype=dtype)
+    return flat.astype(np.float64).reshape(len(keys), *shape)
+
+
+def _rekey(keys: set[bytes], old: np.dtype, new: np.dtype) -> dict[bytes, bytes]:
+    """Each key mapped to the same row's key at a wider type."""
+    stored = list(keys)
+    rows = np.frombuffer(b"".join(stored), dtype=old).reshape(len(stored), -1)
+    return dict(zip(stored, _keys(rows, new)))
 
 
 def passes(
@@ -261,27 +275,31 @@ def passes(
     grouped = [(tables, max(table_maxes))]
     one_by_one = [(tables[g : g + 1], top) for g, top in enumerate(table_maxes)]
 
-    frontier = forms[:1]
-    limit, dtype = _key_width(_magnitude(frontier))
-    visited: set[bytes] = set(_keys(frontier, dtype))
-    while len(frontier):
-        fresh: list[np.ndarray] = []
+    shape = forms.shape[1:]
+    limit, dtype = _key_width(_magnitude(forms[:1]))
+    # the frontier is the list of its classes' keys, the same bytes visited holds
+    frontier = _keys(forms[:1], dtype)
+    visited: set[bytes] = set(frontier)
+    while frontier:
+        fresh: list[bytes] = []
         # grouped only when even len(tables) new keys per row stay within the bound
         level = grouped if len(visited) + len(tables) * len(frontier) <= bound else one_by_one
         for group_tables, group_max in level:
             for start in range(0, len(frontier), _BLOCK):
-                block = frontier[start : start + _BLOCK]
+                block = _rows(frontier[start : start + _BLOCK], dtype, shape)
                 prods = eng.multiply(block, group_tables, group_max)
-                canon = eng.canonical_batch(prods.reshape(-1, *block.shape[1:]))
+                canon = eng.canonical_batch(prods.reshape(-1, *shape))
                 top = _magnitude(canon)
                 if top >= limit:
                     # all keys share one type: store them again at the wider one
                     narrow = dtype
                     limit, dtype = _key_width(top)
-                    visited = _rekey(visited, narrow, dtype)
-                keys = _keys(canon, dtype)
+                    wider = _rekey(visited, narrow, dtype)
+                    visited = set(wider.values())
+                    frontier = [wider[key] for key in frontier]
+                    fresh = [wider[key] for key in fresh]
+                    del wider  # the narrow keys go with it
                 # set.add returns None: each key is tested, then added
-                new = [i for i, key in enumerate(keys) if not (key in visited or visited.add(key))]
-                fresh.append(canon[new])
+                fresh += [k for k in _keys(canon, dtype) if not (k in visited or visited.add(k))]
             yield len(frontier), len(group_tables), len(visited)
-        frontier = np.concatenate(fresh)
+        frontier = fresh

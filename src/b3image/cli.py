@@ -41,7 +41,8 @@ _SWEEP_COLUMNS = ("dim", "eigenvalues", "po", "pattern", "rule", "kind")
 # largest sweep, in rows, that `sweep` enumerates
 SWEEP_MAX_ROWS = 100_000
 # largest closure bound, in elements, that `closure` and `qg` accept; the
-# visited set of a closure that reaches it can take about 2 GB
+# visited keys of a closure that reaches it take about 1 GB (so9(20) at bound
+# 100,000 grows by about 950 bytes per class, on int32 keys)
 MAX_BOUND = 1_000_000
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, count, product
 from math import isqrt
 from pathlib import Path
@@ -722,10 +723,12 @@ def test_rekeying_matches_keying_at_the_wider_type():
     for old, new in combinations(_fastclosure._KEY_WIDTHS, 2):
         limit, old_type = old
         rows = rng.integers(-(limit - 1), limit, size=(50, 3, 3, 2)).astype(np.float64)
-        stored = set(_fastclosure._keys(rows, old_type))
-        rekeyed = _fastclosure._rekey(stored, old_type, new[1])
-        assert rekeyed == set(_fastclosure._keys(rows, new[1]))
-        assert len(rekeyed) == len(stored)
+        stored = _fastclosure._keys(rows, old_type)
+        wider = _fastclosure._rekey(set(stored), old_type, new[1])
+        # one new key per stored key, each the row's own key at the wider type
+        assert wider.keys() == set(stored)
+        assert len(set(wider.values())) == len(wider)
+        assert [wider[key] for key in stored] == _fastclosure._keys(rows, new[1])
 
 
 def test_a_coordinate_past_int32_falls_back_to_float64_keys():
@@ -767,6 +770,52 @@ def test_so9_20_widens_its_keys_and_keeps_its_counts(widths, want, monkeypatch):
     assert (result.outcome, stats["products"], stats["peak_frontier"]) == (EXCEEDED, 6374, 1506)
     assert stats["engine"] == "fast"
     assert widened == [(np.dtype(old), np.dtype(new)) for old, new in want]
+
+
+@pytest.mark.parametrize(
+    "widths",
+    [
+        # one key type from the start: nothing is ever re-keyed
+        ((2**53, np.float64),),
+        # types so narrow that keys widen inside levels of many blocks, where
+        # visited, the frontier and the level's new keys are re-keyed together
+        ((2, np.int8), (4, np.int16), (8, np.int32), (2**53, np.float64)),
+    ],
+    ids=["float64-only", "narrow"],
+)
+def test_the_key_type_does_not_change_a_closure(widths, monkeypatch):
+    widths = tuple((limit, np.dtype(dtype)) for limit, dtype in widths)
+    monkeypatch.setattr(_fastclosure, "_KEY_WIDTHS", widths)
+    gens = list(build_so7(16))
+    for first, last, want in FROZEN_COUNTS:
+        for bound in range(first, last + 1):
+            result = projective_closure(gens, bound)
+            stats = result.stats
+            got = (result.outcome, result.order, stats["products"], stats["peak_frontier"])
+            assert got + (stats["engine"],) == want, bound
+    gens = list(build_so9(20))
+    for block in (_fastclosure._BLOCK, 7, 1):
+        monkeypatch.setattr(_fastclosure, "_BLOCK", block)
+        result = projective_closure(gens, 5000)
+        stats = result.stats
+        got = (result.outcome, stats["products"], stats["peak_frontier"], stats["engine"])
+        assert got == (EXCEEDED, 6374, 1506, "fast"), block
+
+
+def test_closure_memory_holds_the_frontier_once():
+    """The frontier is the list of its classes' keys, the bytes that visited
+    already holds.  Float64 copies of the frontier beside visited took this
+    traced peak to about 12 MB."""
+    gens = list(build_so9(20))
+    projective_closure(gens, 5000)  # numpy and the per-conductor caches load outside the trace
+    tracemalloc.start()
+    try:
+        result = projective_closure(gens, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.outcome, result.stats["products"]) == (EXCEEDED, 6374)
+    assert peak < 10 * 2**20, peak
 
 
 def test_fast_closure_does_not_depend_on_blas_threads():
