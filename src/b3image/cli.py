@@ -7,9 +7,14 @@ quantum-group gallery row, and `sweep` classifies every normalized spectrum up
 to a given eigenvalue order and writes the table.  `closure` refuses a
 spectrum that `validate_spec` finds RepeatedEigenvalues or ExistenceFails.
 
-Exit codes: 0 = result produced, 2 = input error, 3 = a closure exceeded its
-bound (the partial result is still printed), 4 = internal error (a case the
-decision table proves unreachable was reached).
+Each `cmd_*` returns its JSON payload, its table rows and its exit code;
+`main` renders them in the one `--format` asked for: json, csv or a padded
+table.
+
+Exit codes: 0 = result produced, 2 = input error, 3 = `closure` exceeded its
+bound (the partial result is still printed; `qg` reports its closure's outcome
+and exits 0), 4 = internal error (a case the decision table proves unreachable
+was reached).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import B3ImageError, InternalInconsistency, InvalidSpec, MissingParam
 from .grouporacle import COMPLETED, DEFAULT_BOUND, projective_closure
@@ -97,9 +102,13 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
 
 
-def _key_value_table(data: dict) -> str:
-    width = max(len(k) for k in data)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in data.items())
+def _table(rows) -> str:
+    """Pad each column to its widest cell, two spaces apart."""
+    cells = [tuple(map(str, row)) for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells
+    )
 
 
 # -- classify --------------------------------------------------------------------
@@ -129,25 +138,20 @@ def _build_spec(args: argparse.Namespace) -> EigenSpec:
     return EigenSpec.from_exponents(exponents, d_sign=d_sign, gamma=args.gamma)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple:
     verdict = classify(_build_spec(args), non_root_flag=args.non_root)
-    if args.format == "json":
-        text = _json_text(verdict.to_json())
-    else:
-        data = {"kind": verdict.kind, "rule": verdict.rule}
-        for key, value in (
-            ("po", verdict.po),
-            ("pattern", verdict.pattern.variant if verdict.pattern else None),
-            ("o(u)", verdict.o_u),
-            ("D", verdict.d_sign),
-            ("parity", verdict.parity),
-        ):
-            if value is not None:
-                data[key] = value
-        data.update((f"trace:{stage}", note) for stage, note in verdict.trace)
-        text = _key_value_table(data)
-    _emit(text, args.output)
-    return EXIT_OK
+    rows = [("kind", verdict.kind), ("rule", verdict.rule)]
+    for key, value in (
+        ("po", verdict.po),
+        ("pattern", verdict.pattern.variant if verdict.pattern else None),
+        ("o(u)", verdict.o_u),
+        ("D", verdict.d_sign),
+        ("parity", verdict.parity),
+    ):
+        if value is not None:
+            rows.append((key, value))
+    rows += ((f"trace:{stage}", note) for stage, note in verdict.trace)
+    return verdict.to_json(), rows, EXIT_OK
 
 
 # -- closure ---------------------------------------------------------------------
@@ -161,7 +165,7 @@ def _bound(args: argparse.Namespace) -> int:
     return args.bound
 
 
-def cmd_closure(args: argparse.Namespace) -> int:
+def cmd_closure(args: argparse.Namespace) -> tuple:
     bound = _bound(args)
     spec = _build_spec(args)
     if spec.dim == 4 and spec.d_sign is None:
@@ -172,40 +176,30 @@ def cmd_closure(args: argparse.Namespace) -> int:
     if report.status in (REPEATED, EXISTENCE_FAILS):
         raise InvalidSpec(f"spectrum is {report.status}: {'; '.join(report.witnesses)}")
     result = projective_closure(list(build(spec)), bound)
-    if args.format == "json":
-        text = _json_text(result.to_json())
-    else:
-        data = {"outcome": result.outcome, "order": result.order, "bound": result.bound}
-        data.update(result.stats)
-        text = _key_value_table(data)
-    _emit(text, args.output)
-    return EXIT_OK if result.outcome == COMPLETED else EXIT_EXCEEDED
+    rows = [("outcome", result.outcome), ("order", result.order), ("bound", result.bound)]
+    rows += result.stats.items()
+    code = EXIT_OK if result.outcome == COMPLETED else EXIT_EXCEEDED
+    return result.to_json(), rows, code
 
 
 # -- qg --------------------------------------------------------------------------
 
 
-def cmd_qg(args: argparse.Namespace) -> int:
+def cmd_qg(args: argparse.Namespace) -> tuple:
     report = reproduce(args.family, args.ell, _bound(args))
-    if args.format == "json":
-        text = _json_text(report.to_json())
-    else:
-        closure = "-"
-        if report.closure is not None:
-            closure = f"{report.closure.outcome}({report.closure.order})"
-        text = _key_value_table(
-            {
-                "family": report.family,
-                "ell": report.ell,
-                "kind": report.verdict.kind,
-                "rule": report.verdict.rule,
-                "closure": closure,
-                "expected": report.expectation.quote,
-                "agreement": report.agreement,
-            }
-        )
-    _emit(text, args.output)
-    return EXIT_OK
+    closure = "-"
+    if report.closure is not None:
+        closure = f"{report.closure.outcome}({report.closure.order})"
+    rows = [
+        ("family", report.family),
+        ("ell", report.ell),
+        ("kind", report.verdict.kind),
+        ("rule", report.verdict.rule),
+        ("closure", closure),
+        ("expected", report.expectation.quote),
+        ("agreement", report.agreement),
+    ]
+    return report.to_json(), rows, EXIT_OK
 
 
 # -- sweep -----------------------------------------------------------------------
@@ -225,9 +219,7 @@ def sweep_rows(dim: int, max_order: int) -> list[dict]:
         rows.append(
             {
                 "dim": dim,
-                "eigenvalues": ";".join(
-                    f"{e.numerator}/{e.denominator}" for e in spec.exponents()
-                ),
+                "eigenvalues": ";".join(map(str, spec.eigenvalues)),
                 "po": po,
                 "pattern": verdict.pattern.variant if verdict.pattern else "",
                 "rule": verdict.rule,
@@ -237,25 +229,7 @@ def sweep_rows(dim: int, max_order: int) -> list[dict]:
     return rows
 
 
-def _rows_text(rows: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return _json_text(rows)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return buf.getvalue().rstrip("\n")
-    cells = [_SWEEP_COLUMNS] + [
-        tuple(str(row[c]) for c in _SWEEP_COLUMNS) for row in rows
-    ]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(_SWEEP_COLUMNS))]
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in cells
-    )
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple:
     _check_dim(args.dim)
     if args.max_order < 1:
         raise InvalidSpec(f"--max-order must be >= 1, got {args.max_order}")
@@ -264,8 +238,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidSpec(
             f"sweep would classify {rows} spectra, over the cap of {SWEEP_MAX_ROWS}"
         )
-    _emit(_rows_text(sweep_rows(args.dim, args.max_order), args.format), args.output)
-    return EXIT_OK
+    payload = sweep_rows(args.dim, args.max_order)
+    # cells made row by row as they are written: only a table holds them all
+    cells = (tuple(row[c] for c in _SWEEP_COLUMNS) for row in payload)
+    return payload, chain([_SWEEP_COLUMNS], cells), EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------------
@@ -335,7 +311,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_output(args.output)
-        return args.func(args)
+        payload, rows, code = args.func(args)
+        if args.format == "json":
+            text = _json_text(payload)
+        elif args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(rows)
+            text = buf.getvalue().rstrip("\n")
+        else:
+            text = _table(rows)
+        _emit(text, args.output)
+        return code
     except (B3ImageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

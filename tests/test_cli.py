@@ -48,6 +48,42 @@ def test_classify_table(capsys):
     assert "parity" in out and "Odd" in out
 
 
+CLASSIFY_TWO_WITNESS_TABLE = """\
+kind              NotIrreducible
+rule              2.2
+trace:validation  ExistenceFails
+trace:witness     (r,s,t)=(0,1,2): lam_r^2 + lam_s*lam_t = 0
+trace:witness     (r,s,t)=(2,0,1): lam_r^2 + lam_s*lam_t = 0
+"""
+
+
+def test_classify_table_prints_every_witness(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--dim", "3", "--eig", "0,1/6,1/3")
+    assert code == EXIT_OK
+    assert out == CLASSIFY_TWO_WITNESS_TABLE
+
+
+def _trace_rows(table: str) -> list[list[str]]:
+    rows = []
+    for line in table.splitlines():
+        if line.startswith("trace:"):
+            key, _, note = line.partition(" ")
+            rows.append([key.removeprefix("trace:"), note.lstrip()])
+    return rows
+
+
+@pytest.mark.parametrize("dim, d_signs", [(3, [None]), (4, ["+", "-"])], ids=["d3", "d4"])
+def test_classify_table_lists_the_json_trace_in_order(capsys, dim, d_signs):
+    for row in sweep_rows(dim, 12):
+        for d_sign in d_signs:
+            argv = ["classify", "--dim", str(dim), "--eig", row["eigenvalues"].replace(";", ",")]
+            if d_sign is not None:
+                argv += ["--d-sign", d_sign]
+            _, table, _ = run_cli(capsys, *argv)
+            _, text, _ = run_cli(capsys, *argv, "--format", "json")
+            assert _trace_rows(table) == json.loads(text)["trace"], argv
+
+
 def test_classify_json_round_trip(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -495,6 +531,17 @@ def test_qg_table_with_closure(capsys):
     )
     assert code == EXIT_OK
     assert out == QG_SO7_14_TABLE
+
+
+def test_qg_reports_an_exceeded_closure_and_exits_0(capsys):
+    # exit code 3 is closure's: qg puts its closure's outcome in the report
+    code, out, _ = run_cli(
+        capsys, "qg", "--family", "SO9spin", "--ell", "20", "--bound", "200"
+    )
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["closure"]["outcome"] == "ExceededBound"
+    assert data["agreement"] is True
 
 
 def test_qg_unknown_family_is_parse_error(capsys):

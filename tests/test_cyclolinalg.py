@@ -581,3 +581,20 @@ def test_matrix_hashable_with_exact_equality():
     b = CycMatrix.identity(2, 1)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: CycMatrix.identity(2, 4).projective_order(0), ValueError, "bound"),
+        (
+            lambda: CycMatrix.from_rows([[CycNumber.one(8), 0], [0, 1]], 4),
+            ConductorMismatch,
+            "entry conductor 8 != matrix conductor 4",
+        ),
+    ],
+    ids=["order-bound-0", "entry-conductor"],
+)
+def test_matrix_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -336,3 +336,18 @@ def test_embedding_is_multiplicative(p, q, r, s):
     a, b = RootOfUnity.of(p, q), RootOfUnity.of(r, s)
     n = spec_conductor([a, b])
     assert embed(a, n) * embed(b, n) == embed(a * b, n)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: cyclotomic_polynomial(0), ValueError, "conductor must be positive"),
+        (lambda: CycNumber.from_coords([1, 2, 3], 4), ValueError, "need phi"),
+        (lambda: embed(RootOfUnity.of(1, 3), 3).as_rational(), ValueError, "not a rational"),
+        (lambda: CycNumber.one(6) / 0, ZeroDivisionError, "division by zero"),
+    ],
+    ids=["cyclotomic-0", "coords-length", "irrational", "divide-by-0"],
+)
+def test_field_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -576,6 +576,15 @@ def test_fast_multiply_refuses_a_product_at_two_to_the_53():
         eng.multiply(batch, tables, table_max)
 
 
+def test_fast_tables_refuse_entries_past_the_guard():
+    # passes() trips the canonical-form guard on such entries first
+    eng = _fastclosure._Engine(4, 2)
+    gens = np.zeros((1, 2, 2, eng.phi))
+    gens[0, 0, 0, 0] = 2.0**52  # guard value 2^52 * scal_max * phi >= 2^53
+    with pytest.raises(_fastclosure.Unsuitable, match="multiplication table would overflow"):
+        eng.tables(gens)
+
+
 @CANONICAL_CASES
 def test_fast_canonical_form_has_no_negative_zero(gens):
     eng = _fastclosure._Engine(gens[0].conductor, gens[0].dim)

@@ -495,3 +495,8 @@ def test_spec_json_round_trip():
         data["eigenvalues"], d_sign=data["d_sign"], gamma=data["gamma"]
     )
     assert rebuilt == spec
+
+
+def test_block_spec_refuses_a_sign_other_than_plus_or_minus_one():
+    with pytest.raises(InvalidSpec, match="d_sign must be"):
+        block_spec(RootOfUnity.of(1, 5), 2)
