@@ -38,18 +38,21 @@ outcomes are fully trusted.
 
 The BFS runs as passes, each multiplying the whole frontier by some of the
 generators; `passes` yields after each one, and grouporacle._count counts
-them and checks the bound.  A pass runs in row blocks of _BLOCK frontier
-rows, so temporaries scale with the block and not with the frontier.  A level
-that cannot pass the bound, because even G new elements per frontier row (G
-generators) keep the count within it, is one pass of every generator: each
-block is multiplied by all of them at once, under one guard on the largest
-table entry, and put in canonical form and deduped in one round.  Any other
-level is one pass per generator, guarded by that generator's own table.
-Neither the grouping nor _BLOCK changes the classes a level finds: what the
-first g generators add to a level is a set that no order of frontier rows
-changes, and a grouped pass forms every product, and trips a guard exactly
-when the per-generator passes would, since the largest table entry is the
-largest of theirs.
+them and checks the bound.  A pass runs in row blocks of frontier rows, so
+temporaries scale with the block and not with the frontier.  A block has at
+most _BLOCK rows, and fewer when phi is large: canonical_batch gathers one
+phi x phi float64 scaling matrix per product, so the block is sized from phi
+to keep that gather, over the products of every generator, within _GATHER
+bytes.  A level that cannot pass the bound, because even G new elements per
+frontier row (G generators) keep the count within it, is one pass of every
+generator: each block is multiplied by all of them at once, under one guard
+on the largest table entry, and put in canonical form and deduped in one
+round.  Any other level is one pass per generator, guarded by that
+generator's own table.  Neither the grouping nor the block size changes the
+classes a level finds: what the first g generators add to a level is a set
+that no order of frontier rows changes, and a grouped pass forms every
+product, and trips a guard exactly when the per-generator passes would,
+since the largest table entry is the largest of theirs.
 
 The visited set keys each canonical form by its coordinates cast to the
 narrowest of int8, int16, int32 and float64 that holds every coordinate seen
@@ -62,8 +65,8 @@ add 0.0: each integer then has one float64 bit pattern, which keeps the
 float64 keys, and the generator classes keyed on float64 bytes, exact too.
 
 The frontier is its keys: the list of the same bytes objects that the
-visited set holds, in the order the BFS found them.  Each block of _BLOCK
-keys is decoded back to float64 rows when it is multiplied, so a closure
+visited set holds, in the order the BFS found them.  Each block of keys is
+decoded back to float64 rows when it is multiplied, so a closure
 holds its visited keys and the float64 rows of one block and its products,
 and no second copy of the frontier.  A widening re-keys through one old-to-new map, so the
 visited set, the frontier and the level's new keys share the new bytes.
@@ -86,8 +89,10 @@ from .exactfield import CycNumber, _ctx
 
 # every integer a float64 matmul forms stays below this, so binary64 holds it exactly
 _EXACT = 1 << 53
-# frontier rows multiplied, put in canonical form and deduped together
+# most frontier rows multiplied, put in canonical form and deduped together
 _BLOCK = 512
+# bytes a block's scaling gather may take: rows * generators * phi**2 * 8
+_GATHER = 32 << 20
 # key types, narrowest first, each beside the least magnitude it cannot hold
 _KEY_WIDTHS = (
     (1 << 7, np.dtype(np.int8)),
@@ -271,6 +276,7 @@ def passes(
     for form, gen in zip(forms[1:], raw):
         classes.setdefault(form.tobytes(), gen)
     tables, table_maxes = eng.tables(np.stack(list(classes.values())))
+    block_rows = max(1, min(_BLOCK, _GATHER // (len(tables) * eng.phi**2 * 8)))
     # the passes of one level: every generator at once, or one at a time
     grouped = [(tables, max(table_maxes))]
     one_by_one = [(tables[g : g + 1], top) for g, top in enumerate(table_maxes)]
@@ -285,8 +291,8 @@ def passes(
         # grouped only when even len(tables) new keys per row stay within the bound
         level = grouped if len(visited) + len(tables) * len(frontier) <= bound else one_by_one
         for group_tables, group_max in level:
-            for start in range(0, len(frontier), _BLOCK):
-                block = _rows(frontier[start : start + _BLOCK], dtype, shape)
+            for start in range(0, len(frontier), block_rows):
+                block = _rows(frontier[start : start + block_rows], dtype, shape)
                 prods = eng.multiply(block, group_tables, group_max)
                 canon = eng.canonical_batch(prods.reshape(-1, *shape))
                 top = _magnitude(canon)

@@ -58,15 +58,7 @@ class CycMatrix:
 
     @classmethod
     def identity(cls, dim: int, conductor: int) -> CycMatrix:
-        one = CycNumber.one(conductor)
-        zero = CycNumber.zero(conductor)
-        return cls(
-            dim,
-            conductor,
-            tuple(
-                tuple(one if i == j else zero for j in range(dim)) for i in range(dim)
-            ),
-        )
+        return cls.diagonal([1] * dim, conductor)
 
     @classmethod
     def diagonal(cls, values: Sequence[Entry | RootOfUnity], conductor: int) -> CycMatrix:

@@ -149,25 +149,22 @@ def galois_image(spec: EigenSpec, a: int) -> EigenSpec:
     n = spec.conductor()
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"exponent {a} not coprime to conductor {n}")
-    eigs = tuple(r**a for r in spec.eigenvalues)
-    d_sign = None
-    if spec.d_sign is not None:
-        d_sign = _sign_for(eigs, spec.gamma_squared() ** a)
-    gamma = spec.gamma**a if spec.gamma is not None else None
-    return EigenSpec(spec.dim, eigs, d_sign=d_sign, gamma=gamma)
+    return _transport(spec, a, ONE)
 
 
 def scale_spec(spec: EigenSpec, chi: RootOfUnity) -> EigenSpec:
-    """Multiply every eigenvalue by chi, transporting the discrete choice.
+    """Multiply every eigenvalue by chi, transporting the discrete choice."""
+    return _transport(spec, 1, chi)
 
-    The scaled representation has gamma^2 scaled by chi^2 (dim 4) and gamma
-    scaled by chi (dim 5).
-    """
-    eigs = tuple(chi * r for r in spec.eigenvalues)
+
+def _transport(spec: EigenSpec, a: int, chi: RootOfUnity) -> EigenSpec:
+    """The spec's image under r -> chi * r^a, which takes gamma^2 to
+    chi^2 * (gamma^2)^a (dim 4) and gamma to chi * gamma^a (dim 5)."""
+    eigs = tuple(chi * r**a for r in spec.eigenvalues)
     d_sign = None
     if spec.d_sign is not None:
-        d_sign = _sign_for(eigs, chi**2 * spec.gamma_squared())
-    gamma = chi * spec.gamma if spec.gamma is not None else None
+        d_sign = _sign_for(eigs, chi**2 * spec.gamma_squared() ** a)
+    gamma = chi * spec.gamma**a if spec.gamma is not None else None
     return EigenSpec(spec.dim, eigs, d_sign=d_sign, gamma=gamma)
 
 
@@ -188,49 +185,40 @@ def validate_spec(spec: EigenSpec) -> ValidationReport:
     Repeated eigenvalues are reported first.  For dim 3 the conditions are
     lam_r^2 + lam_s*lam_t != 0 over distinct (r,s,t); for dim 4 both factors
     (lam_r^2 + gamma^2) and (gamma^2 + lam_r*lam_s + lam_t*lam_u) must be
-    nonzero, which needs the sign parameter.  Dims 2 and 5 have no published
-    conditions and return UnknownConditions.
+    nonzero, which needs gamma^2, so a dim-4 spec without the sign parameter
+    returns UnknownConditions.  So do dims 2 and 5, which have no published
+    conditions.
     """
     lam = spec.eigenvalues
-    repeats = tuple(
-        f"eigenvalue[{i}] == eigenvalue[{j}] == {lam[i]}"
-        for i, j in itertools.combinations(range(spec.dim), 2)
-        if lam[i] == lam[j]
-    )
-    if repeats:
-        return ValidationReport(REPEATED, repeats)
+    if not spec.is_distinct():
+        repeats = (
+            f"eigenvalue[{i}] == eigenvalue[{j}] == {lam[i]}"
+            for i, j in itertools.combinations(range(spec.dim), 2)
+            if lam[i] == lam[j]
+        )
+        return ValidationReport(REPEATED, tuple(repeats))
     if spec.dim == 3:
-        bad = []
-        for r, s, t in itertools.permutations(range(3)):
-            if s > t:
-                continue  # lam_s * lam_t is symmetric in (s, t)
-            if roots_sum_to_zero((lam[r] * lam[r], lam[s] * lam[t])):
-                bad.append(f"(r,s,t)=({r},{s},{t}): lam_r^2 + lam_s*lam_t = 0")
-        return (
-            ValidationReport(EXISTENCE_FAILS, tuple(bad))
-            if bad
-            else ValidationReport(VALID)
-        )
-    if spec.dim == 4:
-        g2 = spec.gamma_squared()
-        if g2 is None:
-            raise MissingParam("dim-4 existence conditions need the sign parameter")
-        bad = []
-        for r in range(4):
-            if roots_sum_to_zero((lam[r] * lam[r], g2)):
-                bad.append(f"r={r}: lam_r^2 + gamma^2 = 0")
-        for (r, s), (t, u) in _PAIR_PARTITIONS:
-            if roots_sum_to_zero((g2, lam[r] * lam[s], lam[t] * lam[u])):
-                bad.append(
-                    f"(r,s|t,u)=({r},{s}|{t},{u}): "
-                    "gamma^2 + lam_r*lam_s + lam_t*lam_u = 0"
-                )
-        return (
-            ValidationReport(EXISTENCE_FAILS, tuple(bad))
-            if bad
-            else ValidationReport(VALID)
-        )
-    return ValidationReport(UNKNOWN_CONDITIONS)
+        bad = [
+            f"(r,s,t)=({r},{s},{t}): lam_r^2 + lam_s*lam_t = 0"
+            for r, s, t in itertools.permutations(range(3))
+            # lam_s * lam_t is symmetric in (s, t)
+            if s < t and roots_sum_to_zero((lam[r] * lam[r], lam[s] * lam[t]))
+        ]
+    elif (g2 := spec.gamma_squared()) is not None:
+        bad = [
+            f"r={r}: lam_r^2 + gamma^2 = 0"
+            for r in range(4)
+            if roots_sum_to_zero((lam[r] * lam[r], g2))
+        ]
+        bad += [
+            f"(r,s|t,u)=({r},{s}|{t},{u}): "
+            "gamma^2 + lam_r*lam_s + lam_t*lam_u = 0"
+            for (r, s), (t, u) in _PAIR_PARTITIONS
+            if roots_sum_to_zero((g2, lam[r] * lam[s], lam[t] * lam[u]))
+        ]
+    else:
+        return ValidationReport(UNKNOWN_CONDITIONS)
+    return ValidationReport(EXISTENCE_FAILS, tuple(bad)) if bad else ValidationReport(VALID)
 
 
 # -- matrix builders ----------------------------------------------------------

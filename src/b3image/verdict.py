@@ -1,10 +1,11 @@
 """The decision cascade: classify an eigenvalue spec as Finite / Infinite /
 Undecidable / NotIrreducible.
 
-The cascade runs, in order: the repeated-eigenvalue and existence screens,
-the projective-order shortcut, imprimitive pattern matching (with the
-block-pair subtable), and finally the per-dimension projective-order tables
-for primitive groups.  Every step it took is recorded in the verdict trace.
+The cascade runs, in order: one screen, `repforms.validate_spec`, whose
+RepeatedEigenvalues gives rule 2.1(a) and ExistenceFails rule 2.2; the
+projective-order shortcut; imprimitive pattern matching (with the block-pair
+subtable); and finally the per-dimension projective-order tables for
+primitive groups.  Every step it took is recorded in the verdict trace.
 """
 
 from __future__ import annotations
@@ -12,16 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 from .errors import InternalInconsistency, InvalidOrder, InvalidSpec, NotPO7
 from .exactfield import MINUS_ONE, ONE, RootOfUnity
-from .repforms import (
-    EXISTENCE_FAILS,
-    REPEATED,
-    UNKNOWN_CONDITIONS,
-    EigenSpec,
-    validate_spec,
-)
+from .repforms import EXISTENCE_FAILS, REPEATED, EigenSpec, validate_spec
 
 FINITE = "Finite"
 INFINITE = "Infinite"
@@ -31,9 +27,12 @@ NOT_IRREDUCIBLE = "NotIrreducible"
 ODD = "Odd"
 EVEN = "Even"
 
-# projective orders achievable in finite primitive unimodular groups, per dim
-_D4_ACHIEVABLE = frozenset({6, 7, 8, 9, 10, 12, 15, 20, 24})
-_D5_GAP = frozenset({6, 9, 10, 11, 12})
+# per dim, the projective orders achievable in finite primitive unimodular
+# groups (the gap, left Undecidable) and the rule of the dimension's table
+_GAP_TABLES = {
+    4: (frozenset({6, 7, 8, 9, 10, 12, 15, 20, 24}), "2.1(d)(iii)"),
+    5: (frozenset({6, 9, 10, 11, 12}), "2.1(d)(iv)"),
+}
 
 FULL_COSET = "FullCoset"
 PLUS_MINUS_PLUS_ALPHA = "PlusMinusPlusAlpha"
@@ -137,14 +136,6 @@ def _coset_plus_alpha(spec: EigenSpec, k: int, variant: str) -> ImprimitivePatte
     return ImprimitivePattern(variant, chi=chi, alpha=rest[0])
 
 
-def _plus_minus_plus_alpha(spec: EigenSpec) -> ImprimitivePattern | None:
-    return _coset_plus_alpha(spec, 2, PLUS_MINUS_PLUS_ALPHA)
-
-
-def _c3_coset_plus_alpha(spec: EigenSpec) -> ImprimitivePattern | None:
-    return _coset_plus_alpha(spec, 3, C3_COSET_PLUS_ALPHA)
-
-
 def _plus_minus_pairs(spec: EigenSpec) -> ImprimitivePattern | None:
     cosets = _cosets(spec, 2) if spec.dim == 4 else []
     if len(cosets) != 2:
@@ -165,7 +156,11 @@ def _plus_minus_pairs(spec: EigenSpec) -> ImprimitivePattern | None:
 
 # the pattern tests in precedence order; `classify` runs only the tests past
 # FullCoset, the ones that can match past its po <= 5 return
-_PATTERNS_PAST_PO_5 = (_plus_minus_pairs, _c3_coset_plus_alpha, _plus_minus_plus_alpha)
+_PATTERNS_PAST_PO_5 = (
+    _plus_minus_pairs,
+    partial(_coset_plus_alpha, k=3, variant=C3_COSET_PLUS_ALPHA),
+    partial(_coset_plus_alpha, k=2, variant=PLUS_MINUS_PLUS_ALPHA),
+)
 _PATTERN_TESTS = (_full_coset,) + _PATTERNS_PAST_PO_5
 
 
@@ -272,21 +267,15 @@ def classify(spec: EigenSpec, non_root_flag: bool = False) -> Verdict:
         trace.append(("non_root", "eigenvalue declared not a root of unity"))
         return Verdict(INFINITE, "2.1(a)", trace=tuple(trace))
 
-    if not spec.is_distinct():
-        trace.append(("validation", REPEATED))
+    # UnknownConditions (dims 2 and 5, dim 4 without the sign) proceeds on
+    # the caller's irreducibility claim
+    report = validate_spec(spec)
+    trace.append(("validation", report.status))
+    if report.status == REPEATED:
         return Verdict(INFINITE, "2.1(a)", trace=tuple(trace))
-
-    if spec.dim == 4 and spec.d_sign is None:
-        # the existence polynomial needs gamma^2; proceed on the caller's
-        # irreducibility claim
-        trace.append(("validation", UNKNOWN_CONDITIONS))
-    else:
-        report = validate_spec(spec)
-        trace.append(("validation", report.status))
-        if report.status == EXISTENCE_FAILS:
-            for w in report.witnesses:
-                trace.append(("witness", w))
-            return Verdict(NOT_IRREDUCIBLE, "2.2", trace=tuple(trace))
+    if report.status == EXISTENCE_FAILS:
+        trace += (("witness", w) for w in report.witnesses)
+        return Verdict(NOT_IRREDUCIBLE, "2.2", trace=tuple(trace))
 
     po = projective_order_of_spec(spec)
     trace.append(("po", str(po)))
@@ -328,14 +317,10 @@ def classify(spec: EigenSpec, non_root_flag: bool = False) -> Verdict:
             INFINITE, "2.1(d)(ii)", po=po, parity=parity, trace=tuple(trace)
         )
 
-    if spec.dim == 4:
-        if po in _D4_ACHIEVABLE:
-            return Verdict(UNDECIDABLE, "2.1(d)(iii)-gap", po=po, trace=tuple(trace))
-        return Verdict(INFINITE, "2.1(d)(iii)", po=po, trace=tuple(trace))
-
     if spec.gamma is not None:
         # recorded but unused by the table rules; the choice can affect |G|
         trace.append(("gamma", str(spec.gamma)))
-    if po in _D5_GAP:
-        return Verdict(UNDECIDABLE, "2.1(d)(iv)-gap", po=po, trace=tuple(trace))
-    return Verdict(INFINITE, "2.1(d)(iv)", po=po, trace=tuple(trace))
+    gap, rule = _GAP_TABLES[spec.dim]
+    if po in gap:
+        return Verdict(UNDECIDABLE, f"{rule}-gap", po=po, trace=tuple(trace))
+    return Verdict(INFINITE, rule, po=po, trace=tuple(trace))

@@ -30,7 +30,7 @@ from b3image.grouporacle import (
     projective_closure,
 )
 from b3image.qgallery import build_so7, build_so9
-from b3image.repforms import build_d3, build_d4_block
+from b3image.repforms import EigenSpec, build, build_d3, build_d4_block
 
 A = Word.gen(0)
 B = Word.gen(1)
@@ -825,6 +825,24 @@ def test_closure_memory_holds_the_frontier_once():
         tracemalloc.stop()
     assert (result.outcome, result.stats["products"]) == (EXCEEDED, 6374)
     assert peak < 10 * 2**20, peak
+
+
+def test_closure_block_shrinks_with_phi():
+    """The canonical form gathers one phi x phi float64 scaling matrix per
+    product.  At conductor 512 (phi = 256) that is 512 KiB a product, and
+    blocks of 512 rows took this traced peak to about 540 MiB."""
+    gens = list(build(EigenSpec.from_exponents(["0/1", "1/512"])))
+    projective_closure(gens, 10)  # the per-conductor tables load outside the trace
+    tracemalloc.start()
+    try:
+        result = projective_closure(gens, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stats = result.stats
+    got = (result.outcome, stats["products"], stats["peak_frontier"], stats["engine"])
+    assert got == (EXCEEDED, 3936, 932, "fast")
+    assert peak < 64 * 2**20, peak
 
 
 def test_fast_closure_does_not_depend_on_blas_threads():

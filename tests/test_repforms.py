@@ -2,6 +2,7 @@
 spectra, the dim-4 block characteristic polynomial identity, and the
 existence screen."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from b3image.repforms import (
     UNKNOWN_CONDITIONS,
     VALID,
     EigenSpec,
+    ValidationReport,
     block_spec,
     build,
     build_d3,
@@ -128,9 +130,12 @@ def test_validate_repeated():
 
 
 def test_validate_d4_needs_sign():
+    # the dim-4 conditions read gamma^2, which only the sign pins: without
+    # it the screen reports repeats and otherwise UnknownConditions
     spec = EigenSpec.from_exponents(["0/1", "1/2", "1/10", "3/5"])
-    with pytest.raises(MissingParam):
-        validate_spec(spec)
+    assert validate_spec(spec) == ValidationReport(UNKNOWN_CONDITIONS)
+    repeated = EigenSpec.from_exponents(["0/1", "1/2", "1/10", "1/10"])
+    assert validate_spec(repeated).status == REPEATED
 
 
 def test_validate_dims_2_and_5_unknown():
@@ -486,6 +491,32 @@ def test_scale_spec_transports_discrete_choice():
     )
     scaled5 = scale_spec(five, chi)
     assert scaled5.gamma == five.gamma * chi
+
+
+# the dim-4 sign, or the index j of gamma = det^(1/5) * zeta_5^j
+@pytest.mark.parametrize("choice", ["D=+1", "D=-1", 0, 1, 2, 3, 4])
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_galois_conjugation_and_scaling_commute(choice, data):
+    """zeta -> zeta^a after r -> chi*r is r -> chi^a * r^a: the transports of
+    the discrete choice compose as the actions on the eigenvalues do."""
+    dim = 4 if isinstance(choice, str) else 5
+    m = data.draw(st.integers(1, 30 if dim == 4 else 12), label="order")
+    eigs = tuple(
+        RootOfUnity.of(data.draw(st.integers(0, m - 1)), m) for _ in range(dim)
+    )
+    if dim == 4:
+        spec = EigenSpec(4, eigs, d_sign=1 if choice == "D=+1" else -1)
+    else:
+        det = EigenSpec(5, eigs).determinant()
+        spec = EigenSpec(5, eigs, gamma=RootOfUnity((det.exponent + choice) / 5))
+    k = data.draw(st.integers(1, 24), label="scale order")
+    chi = RootOfUnity.of(data.draw(st.integers(0, k - 1)), k)
+    n = math.lcm(spec.conductor(), k)
+    a = data.draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]), label="a")
+    assert galois_image(scale_spec(spec, chi), a) == scale_spec(
+        galois_image(spec, a), chi**a
+    )
 
 
 def test_spec_json_round_trip():

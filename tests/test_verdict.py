@@ -12,7 +12,7 @@ import pytest
 from b3image import verdict as verdict_module
 from b3image.errors import InvalidOrder, InvalidSpec, NotPO7
 from b3image.exactfield import MINUS_ONE, ONE, RootOfUnity
-from b3image.repforms import EigenSpec, block_spec
+from b3image.repforms import EigenSpec, block_spec, validate_spec
 from b3image.verdict import (
     C3_COSET_PLUS_ALPHA,
     EVEN,
@@ -407,6 +407,16 @@ def test_every_witness_of_the_sweep_is_pinned(sweep, dim, max_order, choice, dig
         for spec in _sweep_specs(dim, max_order, choice)
     ]
     assert _digest(records) == digest, sweep
+
+
+@pytest.mark.parametrize(
+    "dim, choice",
+    [(3, None), (4, None), (4, 1), (4, -1), (5, None), (5, "gamma")],
+    ids=["d3/12", "d4/12", "d4/12 D=+1", "d4/12 D=-1", "d5/12", "d5/12 each gamma"],
+)
+def test_classify_reads_the_one_screen(dim, choice):
+    for spec in _sweep_specs(dim, 12, choice):
+        assert classify(spec).trace[0] == ("validation", validate_spec(spec).status), spec
 
 
 def test_every_parity_of_d3_21_is_pinned():
