@@ -3,12 +3,18 @@
 Numbers are stored as integer coordinate vectors over the power basis
 {zeta_N^i : 0 <= i < phi(N)} with a single shared denominator, reduced by the
 N-th cyclotomic polynomial. Everything is exact; no floats anywhere.
+
+`json_form` is the one JSON writer of the package's records: a record is the
+dict of its dataclass fields in field order, a root of unity is written as
+its exponent "k/n", a tuple as a list and a missing value as null.  Two
+records rename one key in place: `Verdict` writes `d_sign` as "D", and
+`ReproductionReport` writes its expectation's quote as "expectation_quote".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -88,6 +94,23 @@ class RootOfUnity:
 
 ONE = RootOfUnity(Fraction(0))
 MINUS_ONE = RootOfUnity(HALF)
+
+
+def json_form(record) -> dict:
+    """The dataclass record as the JSON dict of its fields, in field order."""
+    return {f.name: _json_value(getattr(record, f.name)) for f in fields(record)}
+
+
+def _json_value(value):
+    """A nested record through its own to_json(), a root of unity as "k/n",
+    a tuple as a list of such values, a dict as a copy, anything else as is."""
+    if isinstance(value, RootOfUnity):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value.to_json() if hasattr(value, "to_json") else value
 
 
 def roots_sum_to_zero(roots: Sequence[RootOfUnity]) -> bool:
@@ -205,9 +228,7 @@ def _trace_row(n: int) -> tuple[int, ...]:
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    if den < 0:
-        num = [-v for v in num]
-        den = -den
+    """Divide out the common gcd; den is positive at every caller."""
     g = den
     for v in num:
         if v:
@@ -419,8 +440,8 @@ class CycNumber:
             if not v:
                 continue
             c = Fraction(v, self.den)
-            term = f"z^{i}" if i else "1"
-            parts.append(f"({c})*{term}" if c != 1 or i == 0 else term)
+            term = f"z^{i}" if c == 1 else f"({c})*z^{i}"
+            parts.append(term if i else str(c))
         return " + ".join(parts)
 
     def __repr__(self) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .cyclolinalg import CycMatrix
-from .exactfield import CycNumber, positive_power
+from .exactfield import CycNumber, json_form, positive_power
 from .errors import DimensionMismatch, ConductorMismatch, SingularGenerator
 
 COMPLETED = "Completed"
@@ -108,12 +108,7 @@ class ClosureResult:
     stats: dict
 
     def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "order": self.order,
-            "bound": self.bound,
-            "stats": dict(self.stats),
-        }
+        return json_form(self)
 
 
 def _validate_generators(generators: list[CycMatrix]) -> list[CycNumber]:

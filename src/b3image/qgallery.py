@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .cyclolinalg import CycMatrix
 from .errors import OutOfRange
-from .exactfield import RootOfUnity
+from .exactfield import RootOfUnity, json_form
 from .grouporacle import (
     COMPLETED,
     DEFAULT_BOUND,
@@ -25,7 +25,7 @@ from .grouporacle import (
     ClosureResult,
     projective_closure,
 )
-from .repforms import EigenSpec, _sign_for, build
+from .repforms import EigenSpec, build, sign_for
 from .verdict import FINITE, INFINITE, UNDECIDABLE, Verdict, classify
 
 
@@ -127,7 +127,7 @@ def qg_spec(family: QGFamily | str, ell: int) -> EigenSpec:
     eigs = tuple(root(*t) for t in fam.template)
     d_sign = None
     if fam.gamma_squared is not None:
-        d_sign = _sign_for(eigs, root(*fam.gamma_squared))
+        d_sign = sign_for(eigs, root(*fam.gamma_squared))
     gamma = None if fam.gamma is None else root(*fam.gamma)
     return EigenSpec(fam.dim, eigs, d_sign=d_sign, gamma=gamma)
 
@@ -246,14 +246,11 @@ class ReproductionReport:
     agreement: bool
 
     def to_json(self) -> dict:
+        """The fields, with the expectation written as its quote under
+        "expectation_quote"."""
         return {
-            "family": self.family,
-            "ell": self.ell,
-            "spec": self.spec.to_json(),
-            "verdict": self.verdict.to_json(),
-            "closure": self.closure.to_json() if self.closure is not None else None,
-            "expectation_quote": self.expectation.quote,
-            "agreement": self.agreement,
+            "expectation_quote" if k == "expectation" else k: v
+            for k, v in dict(json_form(self), expectation=self.expectation.quote).items()
         }
 
 

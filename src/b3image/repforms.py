@@ -28,6 +28,7 @@ from .exactfield import (
     ONE,
     CycNumber,
     RootOfUnity,
+    json_form,
     power_sum,
     root_index,
     roots_sum_to_zero,
@@ -122,19 +123,14 @@ class EigenSpec:
         return spec_conductor(self.eigenvalues, *extra)
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "eigenvalues": [str(r) for r in self.eigenvalues],
-            "d_sign": self.d_sign,
-            "gamma": str(self.gamma) if self.gamma is not None else None,
-        }
+        return json_form(self)
 
 
 def _product(roots: tuple[RootOfUnity, ...]) -> RootOfUnity:
     return RootOfUnity(sum(r.exponent for r in roots))
 
 
-def _sign_for(eigenvalues: tuple[RootOfUnity, ...], target: RootOfUnity) -> int:
+def sign_for(eigenvalues: tuple[RootOfUnity, ...], target: RootOfUnity) -> int:
     """The stored sign under which the spec's gamma_squared() equals `target`."""
     base = _product(eigenvalues).canonical_sqrt()
     if target == base:
@@ -163,7 +159,7 @@ def _transport(spec: EigenSpec, a: int, chi: RootOfUnity) -> EigenSpec:
     eigs = tuple(chi * r**a for r in spec.eigenvalues)
     d_sign = None
     if spec.d_sign is not None:
-        d_sign = _sign_for(eigs, chi**2 * spec.gamma_squared() ** a)
+        d_sign = sign_for(eigs, chi**2 * spec.gamma_squared() ** a)
     gamma = chi * spec.gamma**a if spec.gamma is not None else None
     return EigenSpec(spec.dim, eigs, d_sign=d_sign, gamma=gamma)
 
@@ -354,4 +350,4 @@ def block_spec(u: RootOfUnity, d_sign: int) -> EigenSpec:
         raise InvalidSpec(f"u must not be a 4th root of unity, got order {u.order}")
     eigs = (ONE, MINUS_ONE, u, -u)
     target = -u if d_sign == 1 else u
-    return EigenSpec(4, eigs, d_sign=_sign_for(eigs, target))
+    return EigenSpec(4, eigs, d_sign=sign_for(eigs, target))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import InternalInconsistency, InvalidOrder, InvalidSpec, NotPO7
-from .exactfield import MINUS_ONE, ONE, RootOfUnity
+from .exactfield import MINUS_ONE, ONE, RootOfUnity, json_form
 from .repforms import EXISTENCE_FAILS, REPEATED, EigenSpec, validate_spec
 
 FINITE = "Finite"
@@ -52,16 +52,7 @@ class ImprimitivePattern:
     coset_order: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "chi": str(self.chi) if self.chi is not None else None,
-            "alpha": str(self.alpha) if self.alpha is not None else None,
-            "u": str(self.u) if self.u is not None else None,
-            "pair_reps": [str(r) for r in self.pair_reps]
-            if self.pair_reps is not None
-            else None,
-            "coset_order": self.coset_order,
-        }
+        return json_form(self)
 
 
 @dataclass(frozen=True)
@@ -78,16 +69,8 @@ class Verdict:
     trace: tuple[tuple[str, str], ...] = field(default=())
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rule": self.rule,
-            "po": self.po,
-            "pattern": self.pattern.to_json() if self.pattern is not None else None,
-            "o_u": self.o_u,
-            "D": self.d_sign,
-            "parity": self.parity,
-            "trace": [list(step) for step in self.trace],
-        }
+        """The fields, with d_sign written as "D"."""
+        return {"D" if k == "d_sign" else k: v for k, v in json_form(self).items()}
 
 
 def projective_order_of_spec(spec: EigenSpec) -> int:

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from b3image.cyclolinalg import CycMatrix
 from b3image.errors import ConductorMismatch, NotCoprime, OrderNotDividingConductor
 from b3image.exactfield import (
     MINUS_ONE,
@@ -50,6 +51,25 @@ def test_root_parse_and_str():
     assert r.exponent == Fraction(3, 8)
     assert RootOfUnity.parse(str(r)) == r
     assert RootOfUnity.parse("1") == ONE
+
+
+def test_str_and_repr():
+    """A constant term prints as its bare coefficient, a z^i term drops a
+    coefficient of one."""
+    assert (str(RootOfUnity.of(2, 6)), repr(RootOfUnity.of(-1, 4))) == ("1/3", "RootOfUnity(3/4)")
+    assert ONE.is_one() and RootOfUnity.of(3, 3).is_one() and not MINUS_ONE.is_one()
+    constants = (CycNumber.one(5), 3, -1, Fraction(1, 2), CycNumber.zero(5))
+    want = ["1", "3", "-1", "1/2", "0"]
+    assert [str(CycNumber.from_rational(0, 5) + c) for c in constants] == want
+    assert str(embed(RootOfUnity.of(1, 5), 5)) == "z^1"
+    x = CycNumber.from_coords([Fraction(1, 2), 2, 0, -1], 5)
+    assert str(x) == "1/2 + (2)*z^1 + (-1)*z^3"
+    assert repr(x) == "CycNumber(N=5: 1/2 + (2)*z^1 + (-1)*z^3)"
+    assert str(CycMatrix.identity(2, 4)) == "[1, 0]\n[0, 1]"
+    assert repr(CycMatrix.diagonal([3, -1], 4)) == (
+        "CycMatrix(dim=2, conductor=4, rows=((CycNumber(N=4: 3), CycNumber(N=4: 0)), "
+        "(CycNumber(N=4: 0), CycNumber(N=4: -1))))"
+    )
 
 
 def test_root_order():

@@ -1,6 +1,7 @@
 """Every import and every private top-level name of a package module is read
 in that module, and so is every private method of its classes (as an
-attribute), so a deletion leaves nothing unused behind."""
+attribute), so a deletion leaves nothing unused behind.  Every record's
+`to_json` returns through `exactfield.json_form`."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,37 @@ def test_every_private_method_is_read(path):
     }
     unused = [m for m in _private_methods(tree) if m.split(".")[1] not in read]
     assert unused == [], f"{path.name}: unread {unused}"
+
+
+def _to_json_methods(tree: ast.Module) -> list[ast.FunctionDef]:
+    return [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "to_json"
+    ]
+
+
+def _calls_json_form_on_self(expr: ast.expr) -> bool:
+    return any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "json_form"
+        and [a.id for a in n.args if isinstance(a, ast.Name)] == ["self"]
+        for n in ast.walk(expr)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_to_json_returns_through_json_form(path):
+    """Each record's JSON is `exactfield.json_form(self)`, so no writer lists
+    a record's fields a second time."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for method in _to_json_methods(tree):
+        returns = [n for n in ast.walk(method) if isinstance(n, ast.Return)]
+        assert returns, f"{path.name}:{method.lineno}: to_json returns nothing"
+        for ret in returns:
+            assert ret.value is not None and _calls_json_form_on_self(ret.value), (
+                f"{path.name}:{ret.lineno}: to_json returns without json_form(self)"
+            )
