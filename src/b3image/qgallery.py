@@ -8,7 +8,10 @@ Lie-theoretic derivation is out of scope); SO7spin fixes the two-fold
 representation choice D = +q^4 and SO9spin fixes gamma = q^12.  For those two
 families `repforms.build` turns the spec into matrices (`build_so7`,
 `build_so9`); G2 and F4 stay spec-only.  The overall scalar is 1 throughout,
-which is harmless because the classification is scaling invariant.
+which is harmless because the classification is scaling invariant.  Each
+family also carries the claims recorded for it, in order, each at a set of
+levels, at every multiple of an integer or at every level; a level's claim
+is the first that holds there.
 """
 
 from __future__ import annotations
@@ -29,10 +32,26 @@ from .repforms import EigenSpec, build, sign_for
 from .verdict import FINITE, INFINITE, UNDECIDABLE, Verdict, classify
 
 
+# closure expectations: ("exact", m) means Completed(m); ("divides", m) means
+# Completed with order dividing m; ("exceeded", None) means ExceededBound
+@dataclass(frozen=True)
+class Expectation:
+    """The claim a reproduction row is checked against.
+
+    kind None means the recorded claim is not a cascade-level statement (the
+    row is settled by the closure check alone).
+    """
+
+    kind: str | None
+    closure: tuple[str, int | None] | None
+    quote: str
+
+
 @dataclass(frozen=True)
 class QGFamily:
-    """One braiding family: template exponents, validity range, and the
-    representation choice that the reproduction's matrices need."""
+    """One braiding family: template exponents, validity range, the
+    representation choice that the reproduction's matrices need, and the
+    claims recorded for it."""
 
     name: str
     dim: int
@@ -43,6 +62,10 @@ class QGFamily:
     modulus: int
     min_divisible: int
     min_other: int | None
+    # (levels, claim) in order; the first whose levels hold ell is the row's
+    # claim.  levels: a frozenset of ells, an int m (every multiple of m) or
+    # None (every level)
+    claims: tuple[tuple[frozenset[int] | int | None, Expectation], ...]
     # dim-4 gamma^2 and dim-5 gamma, in the template's encoding
     gamma_squared: tuple[int, bool] | None = None
     gamma: tuple[int, bool] | None = None
@@ -58,6 +81,12 @@ class QGFamily:
         return self.gamma_squared is not None or self.gamma is not None
 
 
+_EXEMPT = " (this ℓ is exempt, no claim made)"
+_COMPUTED = " (gap row settled by explicit computation)"
+_G2 = '"infinite unless ℓ=10 or 20"'
+_SO7 = '"provided ℓ/2∉{7,8,9,10,12,15,15,20,24}, G is infinite" [sic]'
+_EXCEEDED = ("exceeded", None)
+
 FAMILIES: dict[str, QGFamily] = {
     f.name: f
     for f in (
@@ -68,6 +97,13 @@ FAMILIES: dict[str, QGFamily] = {
             modulus=3,
             min_divisible=18,
             min_other=10,
+            claims=(
+                (frozenset({24}), Expectation(INFINITE, None, '"for ℓ=24 we have repeated '
+                 'eigenvalues, which implies the image is infinite"')),
+                (3, Expectation(INFINITE, None, '"infinite unless or 24" [sic]')),
+                (frozenset({10, 20}), Expectation(UNDECIDABLE, None, _G2 + _EXEMPT)),
+                (None, Expectation(INFINITE, None, _G2)),
+            ),
         ),
         QGFamily(
             "F4",
@@ -76,6 +112,12 @@ FAMILIES: dict[str, QGFamily] = {
             modulus=2,
             min_divisible=22,
             min_other=15,
+            claims=(
+                (frozenset({24}), Expectation(INFINITE, None, '"infinite for 22≤ℓ" '
+                 '("in the case ℓ=24 we have repeated eigenvalues")')),
+                (2, Expectation(INFINITE, None, '"infinite for 22≤ℓ"')),
+                (None, Expectation(INFINITE, None, '"again always infinite"')),
+            ),
         ),
         QGFamily(
             "SO7spin",
@@ -84,6 +126,17 @@ FAMILIES: dict[str, QGFamily] = {
             modulus=2,
             min_divisible=14,
             min_other=None,
+            claims=(
+                (frozenset({14}), Expectation(None, ("exact", 168),
+                 '"|G/Z(G)|=168 so that, projectively, G is PSL(2,7)"' + _COMPUTED)),
+                (frozenset({18}), Expectation(FINITE, None,
+                 '"G is a finite imprimitive group by Theorem (c)(i)"')),
+                # the quoted list itself, at the even levels the family
+                # defines: the claim must not move with the cascade's tables
+                (frozenset(2 * h for h in (7, 8, 9, 10, 12, 15, 20, 24)),
+                 Expectation(UNDECIDABLE, None, _SO7 + _EXEMPT)),
+                (None, Expectation(INFINITE, _EXCEEDED, _SO7)),
+            ),
             # D = +q^4 in the two-fold representation choice, i.e.
             # gamma^2 = D * lam_1 * lam_4 = q^4 * 1 * (-q^10) = -q^14
             gamma_squared=(14, True),
@@ -95,6 +148,17 @@ FAMILIES: dict[str, QGFamily] = {
             modulus=2,
             min_divisible=18,
             min_other=None,
+            claims=(
+                (frozenset({18}), Expectation(INFINITE, ("divides", 324), '"repeated '
+                 'eigenvalues, (namely 1 and -q^18=1)"; relations give "a quotient of '
+                 'a group of order 324" and the representation is concluded reducible')),
+                (frozenset({22}), Expectation(None, ("exact", 660), '"the PSL(2,11) '
+                 'relations S^11=T^2=(S^4TS^6T)^2=I hold (projectively)"' + _COMPUTED)),
+                (frozenset({20, 24}), Expectation(INFINITE, _EXCEEDED,
+                 '"The cases ℓ=20 and ℓ=24 do not yield finite groups"')),
+                (None, Expectation(INFINITE, _EXCEEDED,
+                 '"provided ℓ/2∉{10,11,12} G is infinite"')),
+            ),
             gamma=(12, False),
         ),
     )
@@ -150,88 +214,14 @@ def build_so9(ell: int) -> tuple[CycMatrix, CycMatrix]:
 
 # -- recorded claims ------------------------------------------------------------
 
-# closure expectations: ("exact", m) means Completed(m); ("divides", m) means
-# Completed with order dividing m; ("exceeded", None) means ExceededBound
-@dataclass(frozen=True)
-class Expectation:
-    """The claim a reproduction row is checked against.
-
-    kind None means the recorded claim is not a cascade-level statement (the
-    row is settled by the closure check alone).
-    """
-
-    kind: str | None
-    closure: tuple[str, int | None] | None
-    quote: str
-
 
 def expectation(family: QGFamily | str, ell: int) -> Expectation:
-    fam = _level(family, ell)
-    if fam.name == "G2":
-        if ell % 3 == 0:
-            if ell == 24:
-                return Expectation(
-                    INFINITE,
-                    None,
-                    '"for ℓ=24 we have repeated eigenvalues, which implies '
-                    'the image is infinite"',
-                )
-            return Expectation(INFINITE, None, '"infinite unless or 24" [sic]')
-        if ell in (10, 20):
-            return Expectation(
-                UNDECIDABLE,
-                None,
-                '"infinite unless ℓ=10 or 20" (this ℓ is exempt, no claim made)',
-            )
-        return Expectation(INFINITE, None, '"infinite unless ℓ=10 or 20"')
-    if fam.name == "F4":
-        if ell % 2 == 0:
-            note = ' ("in the case ℓ=24 we have repeated eigenvalues")' if ell == 24 else ""
-            return Expectation(INFINITE, None, '"infinite for 22≤ℓ"' + note)
-        return Expectation(INFINITE, None, '"again always infinite"')
-    if fam.name == "SO7spin":
-        if ell == 14:
-            return Expectation(
-                None,
-                ("exact", 168),
-                '"|G/Z(G)|=168 so that, projectively, G is PSL(2,7)" '
-                "(gap row settled by explicit computation)",
-            )
-        if ell == 18:
-            return Expectation(
-                FINITE, None, '"G is a finite imprimitive group by Theorem (c)(i)"'
-            )
-        quote = '"provided ℓ/2∉{7,8,9,10,12,15,15,20,24}, G is infinite" [sic]'
-        # the quoted list itself: the claim must not move with the cascade's tables
-        if ell // 2 in (7, 8, 9, 10, 12, 15, 20, 24):
-            return Expectation(
-                UNDECIDABLE, None, quote + " (this ℓ is exempt, no claim made)"
-            )
-        return Expectation(INFINITE, ("exceeded", None), quote)
-    # SO9spin
-    if ell == 18:
-        return Expectation(
-            INFINITE,
-            ("divides", 324),
-            '"repeated eigenvalues, (namely 1 and -q^18=1)"; relations give '
-            '"a quotient of a group of order 324" and the representation is '
-            "concluded reducible",
-        )
-    if ell == 22:
-        return Expectation(
-            None,
-            ("exact", 660),
-            '"the PSL(2,11) relations S^11=T^2=(S^4TS^6T)^2=I hold (projectively)" '
-            "(gap row settled by explicit computation)",
-        )
-    if ell in (20, 24):
-        return Expectation(
-            INFINITE,
-            ("exceeded", None),
-            '"The cases ℓ=20 and ℓ=24 do not yield finite groups"',
-        )
-    return Expectation(
-        INFINITE, ("exceeded", None), '"provided ℓ/2∉{10,11,12} G is infinite"'
+    """The family's first recorded claim whose levels hold ell."""
+    return next(
+        want
+        for levels, want in _level(family, ell).claims
+        if levels is None
+        or (ell in levels if isinstance(levels, frozenset) else ell % levels == 0)
     )
 
 

@@ -42,6 +42,13 @@ EXISTENCE_FAILS = "ExistenceFails"
 UNKNOWN_CONDITIONS = "UnknownConditions"
 
 
+def check_sign(d_sign: int) -> None:
+    """Refuse a dim-4 sign other than the integer +1 or -1; a bool is refused
+    too, though True == 1."""
+    if isinstance(d_sign, bool) or d_sign not in (1, -1):
+        raise InvalidSpec(f"d_sign must be +1 or -1, got {d_sign}")
+
+
 @dataclass(frozen=True)
 class EigenSpec:
     """Eigenvalue set of dimension 2..5 with the discrete representation choice.
@@ -69,8 +76,7 @@ class EigenSpec:
         if self.d_sign is not None:
             if self.dim != 4:
                 raise InvalidSpec("d_sign is a dim-4 parameter")
-            if self.d_sign not in (1, -1):
-                raise InvalidSpec(f"d_sign must be +1 or -1, got {self.d_sign}")
+            check_sign(self.d_sign)
         if self.gamma is not None:
             if self.dim != 5:
                 raise InvalidSpec("gamma is a dim-5 parameter")
@@ -344,8 +350,7 @@ def block_spec(u: RootOfUnity, d_sign: int) -> EigenSpec:
     in the builder's eigenvalue order; the stored sign re-encodes that value
     against the canonical square root of the determinant.
     """
-    if d_sign not in (1, -1):
-        raise InvalidSpec(f"d_sign must be +1 or -1, got {d_sign}")
+    check_sign(d_sign)
     if u.order in (1, 2, 4):
         raise InvalidSpec(f"u must not be a 4th root of unity, got order {u.order}")
     eigs = (ONE, MINUS_ONE, u, -u)

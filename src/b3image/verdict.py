@@ -4,8 +4,9 @@ Undecidable / NotIrreducible.
 The cascade runs, in order: one screen, `repforms.validate_spec`, whose
 RepeatedEigenvalues gives rule 2.1(a) and ExistenceFails rule 2.2; the
 projective-order shortcut; imprimitive pattern matching (with the block-pair
-subtable); and finally the per-dimension projective-order tables for
-primitive groups.  Every step it took is recorded in the verdict trace.
+subtable); and finally the Theorem 2.1(d) table of the projective orders
+that finite primitive groups reach in each dimension.  Every step it took is
+recorded in the verdict trace.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
-from .errors import InternalInconsistency, InvalidOrder, InvalidSpec, NotPO7
+from .errors import InternalInconsistency, InvalidOrder, NotPO7
 from .exactfield import MINUS_ONE, ONE, RootOfUnity, json_form
-from .repforms import EXISTENCE_FAILS, REPEATED, EigenSpec, validate_spec
+from .repforms import EXISTENCE_FAILS, REPEATED, EigenSpec, check_sign, validate_spec
 
 FINITE = "Finite"
 INFINITE = "Infinite"
@@ -26,13 +27,6 @@ NOT_IRREDUCIBLE = "NotIrreducible"
 
 ODD = "Odd"
 EVEN = "Even"
-
-# per dim, the projective orders achievable in finite primitive unimodular
-# groups (the gap, left Undecidable) and the rule of the dimension's table
-_GAP_TABLES = {
-    4: (frozenset({6, 7, 8, 9, 10, 12, 15, 20, 24}), "2.1(d)(iii)"),
-    5: (frozenset({6, 9, 10, 11, 12}), "2.1(d)(iv)"),
-}
 
 FULL_COSET = "FullCoset"
 PLUS_MINUS_PLUS_ALPHA = "PlusMinusPlusAlpha"
@@ -178,8 +172,8 @@ def classify_block_case(u: RootOfUnity, d_sign: int | None = None) -> Verdict:
     d_sign here is the pair parameter D = +-1 of the normalized form whose
     spectrum is {1, -1, u, -u}; None means the caller does not know it.
     """
-    if d_sign not in (None, 1, -1):
-        raise InvalidSpec(f"d_sign must be +1 or -1, got {d_sign}")
+    if d_sign is not None:
+        check_sign(d_sign)
     o = u.order
     if o in (1, 2, 4):
         raise InvalidOrder(f"block case requires order(u) not in {{1, 2, 4}}, got {o}")
@@ -236,6 +230,36 @@ def d3_po7_parity(spec: EigenSpec) -> str:
     return ODD if len(ratios) == 7 else EVEN
 
 
+# -- Theorem 2.1(d): primitive groups by projective order ------------------------
+
+
+def _gap(spec: EigenSpec, po: int, rule: str, trace: list) -> Verdict:
+    """Dims 4 and 5: a reached po leaves the spec in the finite gap."""
+    return Verdict(UNDECIDABLE, f"{rule}-gap", po=po, trace=tuple(trace))
+
+
+def _parity_test(spec: EigenSpec, po: int, rule: str, trace: list) -> Verdict:
+    """Dim 3: po 7 is Finite on the Odd spectra alone."""
+    if po == 6:
+        # provably unreachable: every d=3 po=6 spec is either reducible
+        # (existence polynomial vanishes) or carries the +- pattern
+        raise InternalInconsistency("d=3 po=6 spec survived validation and pattern matching")
+    parity = d3_po7_parity(spec)
+    trace.append(("parity", parity))
+    kind, rule = (FINITE, f"{rule}-odd") if parity == ODD else (INFINITE, rule)
+    return Verdict(kind, rule, po=po, parity=parity, trace=tuple(trace))
+
+
+# per dim: the rule, the projective orders past 5 that finite primitive
+# groups reach, and how a reached po is decided; any other po is Infinite
+_THEOREM_2_1_D = {
+    2: ("2.1(d)(i)", frozenset(), None),
+    3: ("2.1(d)(ii)", frozenset({6, 7}), _parity_test),
+    4: ("2.1(d)(iii)", frozenset({6, 7, 8, 9, 10, 12, 15, 20, 24}), _gap),
+    5: ("2.1(d)(iv)", frozenset({6, 9, 10, 11, 12}), _gap),
+}
+
+
 # -- the cascade ----------------------------------------------------------------
 
 
@@ -278,32 +302,10 @@ def classify(spec: EigenSpec, non_root_flag: bool = False) -> Verdict:
             return replace(sub, po=po, pattern=pattern, trace=tuple(trace))
         return Verdict(FINITE, "2.1(c)(i)", po=po, pattern=pattern, trace=tuple(trace))
 
-    if spec.dim == 2:
-        return Verdict(INFINITE, "2.1(d)(i)", po=po, trace=tuple(trace))
-
-    if spec.dim == 3:
-        if po == 6:
-            # provably unreachable: every d=3 po=6 spec is either reducible
-            # (existence polynomial vanishes) or carries the +- pattern
-            raise InternalInconsistency(
-                "d=3 po=6 spec survived validation and pattern matching"
-            )
-        if po >= 8:
-            return Verdict(INFINITE, "2.1(d)(ii)", po=po, trace=tuple(trace))
-        parity = d3_po7_parity(spec)
-        trace.append(("parity", parity))
-        if parity == ODD:
-            return Verdict(
-                FINITE, "2.1(d)(ii)-odd", po=po, parity=parity, trace=tuple(trace)
-            )
-        return Verdict(
-            INFINITE, "2.1(d)(ii)", po=po, parity=parity, trace=tuple(trace)
-        )
-
     if spec.gamma is not None:
         # recorded but unused by the table rules; the choice can affect |G|
         trace.append(("gamma", str(spec.gamma)))
-    gap, rule = _GAP_TABLES[spec.dim]
-    if po in gap:
-        return Verdict(UNDECIDABLE, f"{rule}-gap", po=po, trace=tuple(trace))
-    return Verdict(INFINITE, rule, po=po, trace=tuple(trace))
+    rule, reached, decide = _THEOREM_2_1_D[spec.dim]
+    if po not in reached:
+        return Verdict(INFINITE, rule, po=po, trace=tuple(trace))
+    return decide(spec, po, rule, trace)

@@ -1,5 +1,8 @@
 """Braiding-family specs, recorded claims, and reproduction reports."""
 
+import hashlib
+import json
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from b3image.exactfield import RootOfUnity
 from b3image.grouporacle import COMPLETED, EXCEEDED, ClosureResult
 from b3image.qgallery import (
     FAMILIES,
+    Expectation,
     _closure_matches,
     expectation,
     get_family,
@@ -190,6 +194,60 @@ def test_expectation_closure_clauses():
     assert expectation("SO7spin", 18).closure is None
     for name, ell in (("G2", 10), ("F4", 22), ("SO7spin", 14), ("SO9spin", 26)):
         assert expectation(name, ell).quote.startswith('"')
+
+
+# sha256 prefix of (family, ell, kind, closure, quote) over every level
+# ell <= 200 that each family defines, in registry order: any change to a
+# recorded claim, or to the level it is read at, changes it
+_CLAIM_DIGEST = "a60fd46f97e0594d"
+
+
+def test_every_recorded_claim_is_pinned():
+    rows = [
+        [name, ell, *astuple(expectation(fam, ell))]
+        for name, fam in FAMILIES.items()
+        for ell in range(1, 201)
+        if fam.valid(ell)
+    ]
+    assert len(rows) == 558
+    text = "\n".join(json.dumps(r, ensure_ascii=False) for r in rows)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _CLAIM_DIGEST
+
+
+_EXEMPT = " (this ℓ is exempt, no claim made)"
+_SO7_QUOTE = '"provided ℓ/2∉{7,8,9,10,12,15,15,20,24}, G is infinite" [sic]'
+
+
+@pytest.mark.parametrize(
+    "name, ell, kind, closure, quote",
+    [
+        ("G2", 21, INFINITE, None, '"infinite unless or 24" [sic]'),
+        ("G2", 198, INFINITE, None, '"infinite unless or 24" [sic]'),
+        ("G2", 20, UNDECIDABLE, None, '"infinite unless ℓ=10 or 20"' + _EXEMPT),
+        (
+            "F4",
+            24,
+            INFINITE,
+            None,
+            '"infinite for 22≤ℓ" ("in the case ℓ=24 we have repeated eigenvalues")',
+        ),
+        ("F4", 26, INFINITE, None, '"infinite for 22≤ℓ"'),
+        ("F4", 25, INFINITE, None, '"again always infinite"'),
+        ("SO7spin", 16, UNDECIDABLE, None, _SO7_QUOTE + _EXEMPT),
+        ("SO7spin", 48, UNDECIDABLE, None, _SO7_QUOTE + _EXEMPT),
+        ("SO7spin", 50, INFINITE, ("exceeded", None), _SO7_QUOTE),
+        (
+            "SO9spin",
+            24,
+            INFINITE,
+            ("exceeded", None),
+            '"The cases ℓ=20 and ℓ=24 do not yield finite groups"',
+        ),
+        ("SO9spin", 26, INFINITE, ("exceeded", None), '"provided ℓ/2∉{10,11,12} G is infinite"'),
+    ],
+)
+def test_claims_that_no_other_test_reads_in_full(name, ell, kind, closure, quote):
+    assert expectation(name, ell) == Expectation(kind, closure, quote)
 
 
 def test_closure_matches():

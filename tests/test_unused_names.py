@@ -1,7 +1,9 @@
 """Every import and every private top-level name of a package module is read
 in that module, and so is every private method of its classes (as an
 attribute), so a deletion leaves nothing unused behind.  Every record's
-`to_json` returns through `exactfield.json_form`."""
+`to_json` returns through `exactfield.json_form`.  No `.name` attribute is
+compared with a string literal, so what differs between families (or any
+other named records) lives in their data, not in checks keyed on a name."""
 
 import ast
 from pathlib import Path
@@ -105,3 +107,52 @@ def test_every_to_json_returns_through_json_form(path):
             assert ret.value is not None and _calls_json_form_on_self(ret.value), (
                 f"{path.name}:{ret.lineno}: to_json returns without json_form(self)"
             )
+
+
+def _is_string_literal(expr: ast.expr) -> bool:
+    if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
+        return bool(expr.elts) and all(map(_is_string_literal, expr.elts))
+    return isinstance(expr, ast.Constant) and isinstance(expr.value, str)
+
+
+def _is_name_attribute(expr: ast.expr) -> bool:
+    return isinstance(expr, ast.Attribute) and expr.attr == "name"
+
+
+def _name_checks(tree: ast.Module) -> list[int]:
+    """Lines that compare a `.name` with a string literal, or match one
+    against string patterns."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(_is_name_attribute, operands)) and any(
+                map(_is_string_literal, operands)
+            ):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Match) and _is_name_attribute(node.subject):
+            if any(
+                isinstance(p, ast.MatchValue) and _is_string_literal(p.value)
+                for case in node.cases
+                for p in ast.walk(case.pattern)
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_name_is_compared_with_a_string(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _name_checks(tree) == [], f"{path.name}: name checks at lines {_name_checks(tree)}"
+
+
+def test_name_check_finds_each_form():
+    source = (
+        'fam.name == "G2"\n'
+        '"F4" != fam.name\n'
+        'fam.name in ("SO7spin", "SO9spin")\n'
+        'match fam.name:\n    case "G2":\n        pass\n'
+        "fam.name == other.name\n"
+        'fam.label == "G2"\n'
+    )
+    assert _name_checks(ast.parse(source)) == [1, 2, 3, 4]

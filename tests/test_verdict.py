@@ -168,7 +168,7 @@ def test_block_case_sign_dependent_orders_5_10():
         assert verdict.kind == INFINITE and verdict.rule == "2.1(c)(ii)/4.2(c)"
 
 
-@pytest.mark.parametrize("d_sign", [2, 0, -2, "+", "-"])
+@pytest.mark.parametrize("d_sign", [2, 0, -2, "+", "-", True, False])
 def test_block_case_refuses_a_d_outside_plus_minus_one(d_sign):
     # D = +-1 is the pair parameter of the normal form; any other value is
     # an input error, whatever the order of u
@@ -363,14 +363,26 @@ def test_classify_is_eigenvalue_order_independent():
 # sweep's order), and of the parity over d3/21; any change to a kind, rule,
 # po, trace or witness (chi, alpha, u, pair_reps, coset_order) changes them.
 # `choice` is the dim-4 D, or "gamma" for each of the five fifth roots of det.
+# The d4 sweeps reach every projective order of the dim-4 gap set and 14
+# past it, and the d5 sweeps every order of the dim-5 gap set and 7 and 14
+# past it; d3/21 reaches the order-7 parity test.
 _WITNESS_DIGESTS = [
     ("d2/60", 2, 60, None, "107860540fe0c4df"),
     ("d3/30", 3, 30, None, "d2f48d3a2896fd2b"),
+    ("d3/21", 3, 21, None, "80d4144ba87c92bf"),
     ("d4/24", 4, 24, None, "649c49c09c9e4645"),
     ("d4/24 D=+1", 4, 24, 1, "15284d254acf5a53"),
     ("d4/24 D=-1", 4, 24, -1, "1624b26b03c2afaf"),
+    ("d4/9", 4, 9, None, "a2543e700cdc91cd"),
+    ("d4/14", 4, 14, None, "3e20e2ffa3105734"),
+    ("d4/15", 4, 15, None, "86ea5966e002302d"),
+    ("d4/20", 4, 20, None, "dfdead8b3cf1c17f"),
     ("d5/10", 5, 10, None, "4a8c6b9fb734da20"),
     ("d5/10 each gamma", 5, 10, "gamma", "88d55a20af7985e9"),
+    ("d5/9", 5, 9, None, "e08cdc11dededd9f"),
+    ("d5/11", 5, 11, None, "5151413ec0df48a6"),
+    ("d5/12", 5, 12, None, "cd91a02e6bbd2491"),
+    ("d5/14", 5, 14, None, "0e488e57d39a1db3"),
 ]
 _PARITY_DIGEST = "e91209b1584b75d5"
 
