@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from b3image.cyclolinalg import CycMatrix, _breaks_trace_bound
@@ -249,6 +249,17 @@ def test_inverse_or_singular(m):
     assert inv * m == CycMatrix.identity(m.dim, m.conductor)
 
 
+@given(matrices(), st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_pow_is_a_product_of_copies_of_m_or_its_inverse(m, k):
+    assume(not m.det().is_zero())
+    factor = m if k > 0 else m.inv()
+    expected = CycMatrix.identity(m.dim, m.conductor)
+    for _ in range(abs(k)):
+        expected = expected * factor
+    assert m**k == expected
+
+
 def test_inverse_of_one_by_one_matrix():
     # the cofactor of a 1 x 1 matrix is the empty minor, which is one
     assert CycMatrix.from_rows([[3]], 1).inv() == CycMatrix.from_rows([[Fraction(1, 3)]], 1)
@@ -268,6 +279,25 @@ def test_pow_negative_inverts():
     m = CycMatrix.from_rows([[1, 1], [0, 1]], 1)
     assert m**-2 == CycMatrix.from_rows([[1, -2], [0, 1]], 1)
     assert m**0 == CycMatrix.identity(2, 1)
+
+
+def diagonal_entries(n: int):
+    """Roots of unity of order dividing n, ints, Fractions and numbers over n."""
+    entry = st.one_of(
+        st.integers(0, n - 1).map(lambda k: RootOfUnity.of(k, n)),
+        st.integers(-4, 4),
+        st.fractions(-4, 4, max_denominator=4),
+        cnum(n),
+    )
+    return st.lists(entry, min_size=1, max_size=5)
+
+
+@given(st.sampled_from((1, 3, 4, 6, 8)).flatmap(lambda n: st.tuples(st.just(n), diagonal_entries(n))))
+def test_diagonal_is_from_rows_of_the_explicit_square(case):
+    n, values = case
+    cells = [embed(v, n) if isinstance(v, RootOfUnity) else v for v in values]
+    square = [[v if i == j else 0 for j in range(len(cells))] for i, v in enumerate(cells)]
+    assert CycMatrix.diagonal(values, n) == CycMatrix.from_rows(square, n)
 
 
 # -- characteristic polynomial ---------------------------------------------------------
@@ -592,8 +622,13 @@ def test_matrix_hashable_with_exact_equality():
             ConductorMismatch,
             "entry conductor 8 != matrix conductor 4",
         ),
+        (
+            lambda: CycMatrix.diagonal([RootOfUnity.of(1, 4), CycNumber.one(8)], 4),
+            ConductorMismatch,
+            "entry conductor 8 != matrix conductor 4",
+        ),
     ],
-    ids=["order-bound-0", "entry-conductor"],
+    ids=["order-bound-0", "entry-conductor", "diagonal-entry-conductor"],
 )
 def test_matrix_guards(call, error, message):
     with pytest.raises(error, match=message):

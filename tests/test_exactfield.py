@@ -220,6 +220,18 @@ def test_division_negative_power_and_int_on_the_left(xy):
     assert 2 + x == x + 2
 
 
+@given(
+    conductors.flatmap(numbers),
+    st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)),
+)
+@settings(max_examples=100)
+def test_int_or_fraction_operand_acts_as_its_rational_number(x, q):
+    r = CycNumber.from_rational(q, x.conductor)
+    assert x * q == x * r and q * x == r * x
+    if q:
+        assert x / q == x / r
+
+
 def test_rational_detection():
     x = CycNumber.from_rational(Fraction(3, 7), 12)
     assert x.is_rational() and x.as_rational() == Fraction(3, 7)
@@ -365,8 +377,9 @@ def test_embedding_is_multiplicative(p, q, r, s):
         (lambda: CycNumber.from_coords([1, 2, 3], 4), ValueError, "need phi"),
         (lambda: embed(RootOfUnity.of(1, 3), 3).as_rational(), ValueError, "not a rational"),
         (lambda: CycNumber.one(6) / 0, ZeroDivisionError, "division by zero"),
+        (lambda: CycNumber.one(6) / Fraction(0), ZeroDivisionError, "division by zero"),
     ],
-    ids=["cyclotomic-0", "coords-length", "irrational", "divide-by-0"],
+    ids=["cyclotomic-0", "coords-length", "irrational", "divide-by-0", "divide-by-fraction-0"],
 )
 def test_field_guards(call, error, message):
     with pytest.raises(error, match=message):
