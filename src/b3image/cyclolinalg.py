@@ -3,8 +3,10 @@
 Dimensions stay at 5 or below.  A matrix product takes one fused
 `exactfield.dot` per entry: the d products of a row and a column add up
 unreduced and are reduced by the minimal polynomial and normalised once.
-Powers start from the lowest set bit of the exponent, never from the
-identity.  `det`, `inv` and `char_poly` all read one memoised minor
+Powers go through `exactfield.power`, the one integer-power rule: they
+start from the lowest set bit of the exponent, never from the identity.
+Every entry, scalar and diagonal value enters through one coercion
+(`_entry`).  `det`, `inv` and `char_poly` all read one memoised minor
 expansion (`_minors`): `det` is the full minor, `inv` the adjugate over the
 determinant, and `char_poly` sums principal minors.  All arithmetic is exact.
 """
@@ -22,13 +24,16 @@ from .errors import (
     SingularMatrix,
     ZeroMatrix,
 )
-from .exactfield import CycNumber, RootOfUnity, dot, embed, positive_power
+from .exactfield import CycNumber, RootOfUnity, dot, embed, power
 
 
-Entry = CycNumber | int | Fraction
+Entry = CycNumber | RootOfUnity | int | Fraction
 
 
 def _entry(value: Entry, conductor: int) -> CycNumber:
+    """The one coercion of a matrix entry or scalar into Q(zeta_conductor)."""
+    if isinstance(value, RootOfUnity):
+        return embed(value, conductor)
     if isinstance(value, CycNumber):
         if value.conductor != conductor:
             raise ConductorMismatch(
@@ -61,19 +66,11 @@ class CycMatrix:
         return cls.diagonal([1] * dim, conductor)
 
     @classmethod
-    def diagonal(cls, values: Sequence[Entry | RootOfUnity], conductor: int) -> CycMatrix:
-        vals = [
-            embed(v, conductor) if isinstance(v, RootOfUnity) else _entry(v, conductor)
-            for v in values
-        ]
-        zero = CycNumber.zero(conductor)
-        d = len(vals)
-        return cls(
-            d,
+    def diagonal(cls, values: Sequence[Entry], conductor: int) -> CycMatrix:
+        zero, d = CycNumber.zero(conductor), len(values)
+        return cls.from_rows(
+            [[v if i == j else zero for j in range(d)] for i, v in enumerate(values)],
             conductor,
-            tuple(
-                tuple(vals[i] if i == j else zero for j in range(d)) for i in range(d)
-            ),
         )
 
     # -- ring operations ------------------------------------------------------
@@ -93,7 +90,7 @@ class CycMatrix:
         return CycMatrix(self.dim, self.conductor, out)
 
     def scale(self, c: Entry) -> CycMatrix:
-        cv = _entry(c, self.conductor) if not isinstance(c, (int, Fraction)) else c
+        cv = _entry(c, self.conductor)
         return CycMatrix(
             self.dim,
             self.conductor,
@@ -101,13 +98,8 @@ class CycMatrix:
         )
 
     def __pow__(self, k: int) -> CycMatrix:
-        """Binary powering by `exactfield.positive_power`: no product with
-        the identity and no square past the top bit."""
-        if k < 0:
-            return self.inv() ** (-k)
-        if k == 0:
-            return CycMatrix.identity(self.dim, self.conductor)
-        return positive_power(self, k)
+        """The integer-power rule `exactfield.power`, with the identity as its unit."""
+        return power(self, k, lambda n: CycMatrix.identity(self.dim, n))
 
     def inv(self) -> CycMatrix:
         """The adjugate over the determinant, one field inversion: entry (i, j)

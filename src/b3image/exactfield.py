@@ -354,17 +354,9 @@ class CycNumber:
         return (-self).__add__(other)
 
     def __mul__(self, other: CycNumber | int | Fraction) -> CycNumber:
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            num = [q.numerator * v for v in self.num]
-            n, d = _normalize(num, self.den * q.denominator)
-            return CycNumber(self.conductor, n, d)
+        other = _coerce(other, self.conductor)
         self._check(other)
-        ctx = _ctx(self.conductor)
-        buf = [0] * (2 * ctx.phi - 1)
-        _convolve(buf, self.num, other.num, 1)
-        n, d = _normalize(_reduce(ctx, buf), self.den * other.den)
-        return CycNumber(self.conductor, n, d)
+        return dot((self,), (other,))
 
     def __rmul__(self, other: int | Fraction) -> CycNumber:
         return self.__mul__(other)
@@ -389,17 +381,13 @@ class CycNumber:
         return conj if q == 1 else conj * (1 / q)
 
     def __truediv__(self, other: CycNumber | int | Fraction) -> CycNumber:
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / q)
+        other = _coerce(other, self.conductor)
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero")
         return self * other.inv()
 
     def __pow__(self, k: int) -> CycNumber:
-        if k < 0:
-            return self.inv() ** (-k)
-        return positive_power(self, k) if k else CycNumber.one(self.conductor)
+        return power(self, k, CycNumber.one)
 
     # -- field automorphisms and conductor changes ----------------------------
 
@@ -497,6 +485,14 @@ def dot(xs: Sequence[CycNumber], ys: Sequence[CycNumber]) -> CycNumber:
         _convolve(buf, x.num, y.num, den // (x.den * y.den))
     num, den = _normalize(_reduce(ctx, buf), den)
     return CycNumber(n, num, den)
+
+
+def power(base, k: int, unit):
+    """base**k for any integer k: `positive_power` of base.inv() below zero,
+    unit(base.conductor) at zero and `positive_power` of base above."""
+    if k < 0:
+        return positive_power(base.inv(), -k)
+    return positive_power(base, k) if k else unit(base.conductor)
 
 
 def positive_power(base, k: int):

@@ -3,7 +3,9 @@ in that module, and so is every private method of its classes (as an
 attribute), so a deletion leaves nothing unused behind.  Every record's
 `to_json` returns through `exactfield.json_form`.  No `.name` attribute is
 compared with a string literal, so what differs between families (or any
-other named records) lives in their data, not in checks keyed on a name."""
+other named records) lives in their data, not in checks keyed on a name.
+`exactfield._convolve` and `exactfield._reduce` are read only inside
+`exactfield.dot`, so every cyclotomic product goes through that one kernel."""
 
 import ast
 from pathlib import Path
@@ -73,6 +75,40 @@ def test_every_private_method_is_read(path):
     }
     unused = [m for m in _private_methods(tree) if m.split(".")[1] not in read]
     assert unused == [], f"{path.name}: unread {unused}"
+
+
+def _scopes(tree: ast.Module):
+    """(scope, node) for each top-level function, each method as
+    Class.method, and any other top-level statement as <module>."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                yield (f"{node.name}.{item.name}" if method else node.name), item
+        else:
+            yield "<module>", node
+
+
+def _readers(tree: ast.Module, names: set[str]) -> set[str]:
+    """The scopes that load any of the names."""
+    return {
+        scope
+        for scope, node in _scopes(tree)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names
+    }
+
+
+def test_convolve_and_reduce_are_read_only_by_dot():
+    kernel = {"_convolve", "_reduce"}
+    readers = {
+        f"{path.stem}.{scope}"
+        for path in MODULES
+        for scope in _readers(ast.parse(path.read_text(encoding="utf-8")), kernel)
+    }
+    assert readers == {"exactfield.dot"}
 
 
 def _to_json_methods(tree: ast.Module) -> list[ast.FunctionDef]:
