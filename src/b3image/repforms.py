@@ -43,10 +43,19 @@ UNKNOWN_CONDITIONS = "UnknownConditions"
 
 
 def check_sign(d_sign: int) -> None:
-    """Refuse a dim-4 sign other than the integer +1 or -1; a bool is refused
-    too, though True == 1."""
-    if isinstance(d_sign, bool) or d_sign not in (1, -1):
+    """Refuse a dim-4 sign other than the int +1 or -1; a bool, float or
+    Fraction is refused too, though True == 1.0 == Fraction(1) == 1."""
+    if type(d_sign) is not int or d_sign not in (1, -1):
         raise InvalidSpec(f"d_sign must be +1 or -1, got {d_sign}")
+
+
+def sign_of(value: RootOfUnity, base: RootOfUnity) -> int:
+    """The sign s = +-1 with value == s * base."""
+    if value == base:
+        return 1
+    if value == -base:
+        return -1
+    raise InternalInconsistency(f"{value} is neither {base} nor its negative")
 
 
 @dataclass(frozen=True)
@@ -138,12 +147,7 @@ def _product(roots: tuple[RootOfUnity, ...]) -> RootOfUnity:
 
 def sign_for(eigenvalues: tuple[RootOfUnity, ...], target: RootOfUnity) -> int:
     """The stored sign under which the spec's gamma_squared() equals `target`."""
-    base = _product(eigenvalues).canonical_sqrt()
-    if target == base:
-        return 1
-    if target == -base:
-        return -1
-    raise InternalInconsistency("gamma^2 candidate is not a square root of det")
+    return sign_of(target, _product(eigenvalues).canonical_sqrt())
 
 
 def galois_image(spec: EigenSpec, a: int) -> EigenSpec:

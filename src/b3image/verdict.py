@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import InternalInconsistency, InvalidOrder, NotPO7
-from .exactfield import MINUS_ONE, ONE, RootOfUnity, json_form
-from .repforms import EXISTENCE_FAILS, REPEATED, EigenSpec, check_sign, validate_spec
+from .exactfield import RootOfUnity, json_form
+from .repforms import EXISTENCE_FAILS, REPEATED, EigenSpec, check_sign, sign_of, validate_spec
 
 FINITE = "Finite"
 INFINITE = "Infinite"
@@ -199,12 +199,7 @@ def _table_d(spec: EigenSpec, pattern: ImprimitivePattern) -> int | None:
     if g2 is None:
         return None
     r_hat, s_hat = pattern.pair_reps
-    val = -(g2 / (r_hat * s_hat))
-    if val == ONE:
-        return 1
-    if val == MINUS_ONE:
-        return -1
-    raise InternalInconsistency("gamma^2 is incompatible with the pair structure")
+    return sign_of(g2, -(r_hat * s_hat))
 
 
 # -- dim 3, projective order 7: the parity test --------------------------------

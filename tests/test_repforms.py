@@ -71,7 +71,7 @@ def test_spec_guards():
         EigenSpec(3, (ONE, MINUS_ONE))
     with pytest.raises(InvalidSpec):
         EigenSpec.from_exponents(["0/1", "1/3", "2/3"], d_sign=1)
-    for d_sign in (2, True, False):
+    for d_sign in (2, True, False, 1.0, -1.0, Fraction(1)):
         with pytest.raises(InvalidSpec, match=f"d_sign must be \\+1 or -1, got {d_sign}"):
             EigenSpec.from_exponents(["0/1", "1/4", "2/4", "3/4"], d_sign=d_sign)
     with pytest.raises(InvalidSpec):
@@ -530,6 +530,6 @@ def test_spec_json_round_trip():
 
 
 def test_block_spec_refuses_a_sign_other_than_plus_or_minus_one():
-    for d_sign in (2, True, False):
+    for d_sign in (2, True, False, 1.0, -1.0, Fraction(1)):
         with pytest.raises(InvalidSpec, match=f"d_sign must be \\+1 or -1, got {d_sign}"):
             block_spec(RootOfUnity.of(1, 5), d_sign)

@@ -168,7 +168,7 @@ def test_block_case_sign_dependent_orders_5_10():
         assert verdict.kind == INFINITE and verdict.rule == "2.1(c)(ii)/4.2(c)"
 
 
-@pytest.mark.parametrize("d_sign", [2, 0, -2, "+", "-", True, False])
+@pytest.mark.parametrize("d_sign", [2, 0, -2, "+", "-", True, False, 1.0, -1.0, Fraction(1)])
 def test_block_case_refuses_a_d_outside_plus_minus_one(d_sign):
     # D = +-1 is the pair parameter of the normal form; any other value is
     # an input error, whatever the order of u
