@@ -292,7 +292,9 @@ def diagonal_entries(n: int):
     return st.lists(entry, min_size=1, max_size=5)
 
 
-@given(st.sampled_from((1, 3, 4, 6, 8)).flatmap(lambda n: st.tuples(st.just(n), diagonal_entries(n))))
+@given(
+    st.sampled_from((1, 3, 4, 6, 8)).flatmap(lambda n: st.tuples(st.just(n), diagonal_entries(n)))
+)
 def test_diagonal_is_from_rows_of_the_explicit_square(case):
     n, values = case
     cells = [embed(v, n) if isinstance(v, RootOfUnity) else v for v in values]
