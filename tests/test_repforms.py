@@ -2,6 +2,7 @@
 spectra, the dim-4 block characteristic polynomial identity, and the
 existence screen."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -109,6 +110,11 @@ def test_conductor_includes_discrete_choice():
         ["0/1", "1/7", "2/7", "3/7", "4/7"], gamma="3/35"
     )
     assert spec.conductor() == 70
+    # det has exponent 47/60 here, so gamma^2 = +-e^(2*pi*i*47/120) has order 120
+    d4 = ["0", "1/3", "1/4", "1/5"]
+    assert EigenSpec.from_exponents(d4).conductor() == 60
+    for d_sign in (1, -1):
+        assert EigenSpec.from_exponents(d4, d_sign=d_sign).conductor() == 120
 
 
 # -- validation -------------------------------------------------------------------
@@ -154,6 +160,50 @@ def test_validate_d4_block_degenerate_sides():
     assert validate_spec(block_spec(RootOfUnity.of(1, 6), -1)).status == EXISTENCE_FAILS
     assert validate_spec(block_spec(RootOfUnity.of(1, 3), -1)).status == VALID
     assert validate_spec(block_spec(RootOfUnity.of(1, 6), 1)).status == VALID
+
+
+def _normalized_specs(dim, max_order, d_sign=None):
+    pool = [Fraction(k, max_order) for k in range(1, max_order)]
+    for combo in itertools.combinations(pool, dim - 1):
+        yield EigenSpec.from_exponents((Fraction(0),) + combo, d_sign=d_sign)
+
+
+def _vanishing_conditions(spec):
+    """(witness, number of terms) for each existence condition of a distinct
+    dim-3 or signed dim-4 spec whose sum is zero in Q(zeta_N), N the spec's
+    conductor, in the order the screen lists its witnesses."""
+    n = spec.conductor()
+    lam = [embed(r, n) for r in spec.eigenvalues]
+    sums = []
+    if spec.dim == 3:
+        for r, s, t in itertools.permutations(range(3)):
+            if s < t:
+                witness = f"(r,s,t)=({r},{s},{t}): lam_r^2 + lam_s*lam_t = 0"
+                sums.append((witness, 2, lam[r] * lam[r] + lam[s] * lam[t]))
+    else:
+        g2 = embed(spec.gamma_squared(), n)
+        for r in range(4):
+            sums.append((f"r={r}: lam_r^2 + gamma^2 = 0", 2, lam[r] * lam[r] + g2))
+        for (r, s), (t, u) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+            witness = f"(r,s|t,u)=({r},{s}|{t},{u}): gamma^2 + lam_r*lam_s + lam_t*lam_u = 0"
+            sums.append((witness, 3, g2 + lam[r] * lam[s] + lam[t] * lam[u]))
+    return [(witness, terms) for witness, terms, total in sums if total.is_zero()]
+
+
+def test_validate_spec_agrees_with_exact_arithmetic():
+    # every spec of d3/30 and of d4/12 under both signs: the screen names
+    # exactly the conditions whose sum vanishes in exact arithmetic
+    specs = itertools.chain(
+        _normalized_specs(3, 30), _normalized_specs(4, 12, 1), _normalized_specs(4, 12, -1)
+    )
+    reached = set()
+    for spec in specs:
+        vanishing = _vanishing_conditions(spec)
+        reached |= {terms for _, terms in vanishing}
+        witnesses = tuple(witness for witness, _ in vanishing)
+        status = EXISTENCE_FAILS if witnesses else VALID
+        assert validate_spec(spec) == ValidationReport(status, witnesses), spec
+    assert reached == {2, 3}
 
 
 # -- the Tuba-Wenzl pair ---------------------------------------------------------
