@@ -27,7 +27,6 @@ from .errors import (
 )
 
 HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +35,17 @@ THIRD = Fraction(1, 3)
 
 @dataclass(frozen=True, slots=True)
 class RootOfUnity:
-    """The complex number e^{2*pi*i*exponent}, exponent a rational mod 1."""
+    """The complex number e^{2*pi*i*exponent}, exponent a rational mod 1.
+
+    The exponent is an int or a Fraction; a float is refused, since it holds
+    a binary fraction, not the rational that was meant.
+    """
 
     exponent: Fraction
 
     def __post_init__(self) -> None:
+        if isinstance(self.exponent, float):
+            raise InvalidSpec(f"exponent {self.exponent!r} is a float, not an exact rational")
         object.__setattr__(self, "exponent", Fraction(self.exponent) % 1)
 
     @classmethod
@@ -113,25 +118,6 @@ def _json_value(value):
     return value.to_json() if hasattr(value, "to_json") else value
 
 
-def roots_sum_to_zero(roots: Sequence[RootOfUnity]) -> bool:
-    """Exact zero test for a sum of two or three roots of unity.
-
-    Two roots cancel iff they are negatives. Three roots cancel iff they form
-    a coset of the cube roots of unity (divide by one term: 1 + a + b = 0 with
-    a, b on the unit circle forces {a, b} = {w, w^2}, w a primitive cube root).
-    Longer sums have other vanishing patterns, so they are rejected here.
-    """
-    if len(roots) == 2:
-        a, b = roots
-        return (a.exponent - b.exponent) % 1 == HALF
-    if len(roots) == 3:
-        a, b, c = roots
-        r1 = (b.exponent - a.exponent) % 1
-        r2 = (c.exponent - a.exponent) % 1
-        return {r1, r2} == {THIRD, 2 * THIRD}
-    raise ValueError("zero test is defined for sums of exactly 2 or 3 roots")
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials as coefficient tuples, lowest degree first
 
@@ -195,7 +181,11 @@ class _Context:
                 for i in range(phi):
                     row[i] += carry * low[i]
         self.powrows = tuple(rows)
-        self.rootmap = {rows[j]: j for j in range(n)}
+        # every root of unity of Q(zeta_n), the +-zeta^j, to 2n times its
+        # exponent; at odd n, -zeta^j = e^{2*pi*i*(2j + n)/2n} is no power of zeta
+        self.rootmap = {rows[j]: 2 * j for j in range(n)}
+        if n % 2:
+            self.rootmap.update((tuple(-v for v in rows[j]), 2 * j + n) for j in range(n))
         # the nonzero coordinates of zeta^j for phi <= j < 2*phi - 1: a
         # product's high terms fold back along these, and most are sparse
         self.folds = tuple(
@@ -304,20 +294,14 @@ class CycNumber:
         return Fraction(self.num[0], self.den)
 
     def as_root_of_unity(self) -> RootOfUnity | None:
-        """Return the exponent if this value is exactly a root of unity, else None."""
-        if self.den != 1:
-            return None
-        k = _ctx(self.conductor).rootmap.get(self.num)
-        if k is None:
-            return None
-        return RootOfUnity(Fraction(k, self.conductor))
+        """This value as a root of unity, or None if it is none.  At odd
+        conductor n the roots of unity in Q(zeta_n) are the +-zeta^k, and
+        -zeta^k is no power of zeta_n: its exponent is (2k + n)/2n."""
+        k = _ctx(self.conductor).rootmap.get(self.num) if self.den == 1 else None
+        return None if k is None else RootOfUnity.of(k, 2 * self.conductor)
 
     def is_root_of_unity(self) -> bool:
-        """True iff this value is a root of unity.  At odd conductor n the
-        roots of unity in Q(zeta_n) are the +-zeta^k, and -zeta^k is no power
-        of zeta_n, so the test runs over the lift to 2n."""
-        n = self.conductor
-        return self.lift(2 * n if n % 2 else n).as_root_of_unity() is not None
+        return self.as_root_of_unity() is not None
 
     def field_trace(self) -> Fraction:
         """Tr_{Q(zeta)/Q}: the sum of the phi(conductor) Galois conjugates."""
@@ -535,11 +519,6 @@ def power_sum(exponents: Iterable[int], conductor: int) -> CycNumber:
     return CycNumber(conductor, num, 1)
 
 
-def spec_conductor(roots: Iterable[RootOfUnity], *extra_orders: int) -> int:
-    """Smallest even conductor containing the given roots (and optional extra orders)."""
-    n = 2
-    for r in roots:
-        n = math.lcm(n, r.order)
-    for e in extra_orders:
-        n = math.lcm(n, e)
-    return n
+def spec_conductor(roots: Iterable[RootOfUnity]) -> int:
+    """Smallest even conductor containing the given roots."""
+    return math.lcm(2, *(r.order for r in roots))

@@ -31,7 +31,6 @@ from .exactfield import (
     json_form,
     power_sum,
     root_index,
-    roots_sum_to_zero,
     spec_conductor,
 )
 
@@ -97,15 +96,12 @@ class EigenSpec:
         cls,
         exponents,
         d_sign: int | None = None,
-        gamma: RootOfUnity | str | None = None,
+        gamma: RootOfUnity | Fraction | str | None = None,
     ) -> EigenSpec:
-        """Build from exponents given as Fractions or "k/n" strings."""
-        roots = tuple(
-            RootOfUnity.parse(e) if isinstance(e, str) else RootOfUnity(Fraction(e))
-            for e in exponents
-        )
-        if isinstance(gamma, str):
-            gamma = RootOfUnity.parse(gamma)
+        """Build from exponents given as ints, Fractions or "k/n" strings;
+        gamma is read the same way, or given as a RootOfUnity."""
+        roots = tuple(map(_root, exponents))
+        gamma = gamma if gamma is None or isinstance(gamma, RootOfUnity) else _root(gamma)
         return cls(len(roots), roots, d_sign=d_sign, gamma=gamma)
 
     def exponents(self) -> tuple[Fraction, ...]:
@@ -129,16 +125,16 @@ class EigenSpec:
         return root if self.d_sign == 1 else -root
 
     def conductor(self) -> int:
-        extra = []
-        g2 = self.gamma_squared()
-        if g2 is not None:
-            extra.append(g2.order)
-        if self.gamma is not None:
-            extra.append(self.gamma.order)
-        return spec_conductor(self.eigenvalues, *extra)
+        """The smallest even conductor holding the eigenvalues, gamma^2 and gamma."""
+        roots = (*self.eigenvalues, self.gamma_squared(), self.gamma)
+        return spec_conductor(r for r in roots if r is not None)
 
     def to_json(self) -> dict:
         return json_form(self)
+
+
+def _root(exponent: int | Fraction | str) -> RootOfUnity:
+    return RootOfUnity.parse(exponent) if isinstance(exponent, str) else RootOfUnity(exponent)
 
 
 def _product(roots: tuple[RootOfUnity, ...]) -> RootOfUnity:
@@ -183,6 +179,7 @@ class ValidationReport:
 
 
 _PAIR_PARTITIONS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+_CUBE_ROOTS = {RootOfUnity.of(1, 3), RootOfUnity.of(2, 3)}
 
 
 def validate_spec(spec: EigenSpec) -> ValidationReport:
@@ -193,7 +190,9 @@ def validate_spec(spec: EigenSpec) -> ValidationReport:
     (lam_r^2 + gamma^2) and (gamma^2 + lam_r*lam_s + lam_t*lam_u) must be
     nonzero, which needs gamma^2, so a dim-4 spec without the sign parameter
     returns UnknownConditions.  So do dims 2 and 5, which have no published
-    conditions.
+    conditions.  Each condition is a sum of two or three roots of unity,
+    tested as an equality of roots: x + y vanishes iff x == -y, and x + y + z
+    iff {y/x, z/x} are the two primitive cube roots of unity.
     """
     lam = spec.eigenvalues
     if not spec.is_distinct():
@@ -208,19 +207,21 @@ def validate_spec(spec: EigenSpec) -> ValidationReport:
             f"(r,s,t)=({r},{s},{t}): lam_r^2 + lam_s*lam_t = 0"
             for r, s, t in itertools.permutations(range(3))
             # lam_s * lam_t is symmetric in (s, t)
-            if s < t and roots_sum_to_zero((lam[r] * lam[r], lam[s] * lam[t]))
+            if s < t and lam[r] * lam[r] == -(lam[s] * lam[t])
         ]
     elif (g2 := spec.gamma_squared()) is not None:
         bad = [
             f"r={r}: lam_r^2 + gamma^2 = 0"
             for r in range(4)
-            if roots_sum_to_zero((lam[r] * lam[r], g2))
+            if lam[r] * lam[r] == -g2
         ]
+        # 1 + a + b = 0 with a, b on the unit circle forces {a, b} to be the
+        # primitive cube roots: three roots vanish iff they form a mu_3 coset
         bad += [
             f"(r,s|t,u)=({r},{s}|{t},{u}): "
             "gamma^2 + lam_r*lam_s + lam_t*lam_u = 0"
             for (r, s), (t, u) in _PAIR_PARTITIONS
-            if roots_sum_to_zero((g2, lam[r] * lam[s], lam[t] * lam[u]))
+            if {lam[r] * lam[s] / g2, lam[t] * lam[u] / g2} == _CUBE_ROOTS
         ]
     else:
         return ValidationReport(UNKNOWN_CONDITIONS)

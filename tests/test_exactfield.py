@@ -6,13 +6,19 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b3image.cyclolinalg import CycMatrix
-from b3image.errors import ConductorMismatch, NotCoprime, OrderNotDividingConductor
+from b3image.errors import (
+    ConductorMismatch,
+    InvalidSpec,
+    NotCoprime,
+    OrderNotDividingConductor,
+)
 from b3image.exactfield import (
     MINUS_ONE,
     ONE,
@@ -21,7 +27,6 @@ from b3image.exactfield import (
     _divide_exact,
     cyclotomic_polynomial,
     embed,
-    roots_sum_to_zero,
     spec_conductor,
 )
 
@@ -44,6 +49,14 @@ def test_root_normalizes_exponent_mod_1():
     assert RootOfUnity.of(9, 7) == RootOfUnity.of(2, 7)
     assert RootOfUnity.of(-1, 5) == RootOfUnity.of(4, 5)
     assert RootOfUnity.of(4, 2) == ONE
+
+
+def test_root_refuses_a_float_exponent():
+    # 0.1 is a binary fraction, not 1/10; ints and Fractions stay exact
+    for exponent in (0.5, 0.1, numpy.float64(0.5)):
+        with pytest.raises(InvalidSpec, match="float"):
+            RootOfUnity(exponent)
+    assert RootOfUnity(1) == ONE and RootOfUnity(Fraction(1, 2)) == MINUS_ONE
 
 
 def test_root_parse_and_str():
@@ -103,39 +116,6 @@ def test_root_mul_matches_complex(p, q, r, s):
     za = cmath.exp(2j * cmath.pi * float(a.exponent))
     zb = cmath.exp(2j * cmath.pi * float(b.exponent))
     assert close(cmath.exp(2j * cmath.pi * float((a * b).exponent)), za * zb)
-
-
-# -- vanishing sums of roots of unity ------------------------------------------------
-
-
-def test_roots_sum_to_zero_agrees_with_exact_embedding():
-    # the helper is scoped to the 2- and 3-term sums the validation
-    # polynomials produce; cross-check every case against full arithmetic
-    cases = [
-        [RootOfUnity.of(k, 3) for k in range(3)],
-        [ONE, MINUS_ONE],
-        [ONE, RootOfUnity.of(1, 4)],
-        [ONE, RootOfUnity.of(1, 3)],
-        [RootOfUnity.of(1, 6), RootOfUnity.of(5, 6), MINUS_ONE],
-        [ONE, ONE, MINUS_ONE],
-        [RootOfUnity.of(2, 7), RootOfUnity.of(3, 7), RootOfUnity.of(5, 7)],
-    ]
-    for roots in cases:
-        n = spec_conductor(roots)
-        total = CycNumber.zero(n)
-        for r in roots:
-            total = total + embed(r, n)
-        assert roots_sum_to_zero(roots) == total.is_zero()
-
-
-def test_known_vanishing_sums():
-    # every vanishing 3-term sum is a scaled mu_3 coset; here zeta_5 * {1, w, w^2}
-    c = RootOfUnity.of(1, 5)
-    w = RootOfUnity.of(1, 3)
-    assert roots_sum_to_zero([c, c * w, c * w * w])
-    assert not roots_sum_to_zero([ONE, RootOfUnity.of(1, 5)])
-    with pytest.raises(ValueError):
-        roots_sum_to_zero([RootOfUnity.of(k, 5) for k in range(5)])
 
 
 # -- cyclotomic polynomials ----------------------------------------------------------
@@ -262,9 +242,10 @@ def test_is_root_of_unity_covers_minus_powers_at_odd_conductor():
         for k in range(n):
             z = embed(RootOfUnity.of(k, n), n)
             assert z.is_root_of_unity() and (-z).is_root_of_unity()
+            assert (-z).as_root_of_unity() == RootOfUnity(Fraction(2 * k + n, 2 * n))
         assert not (embed(ONE, n) * 2).is_root_of_unity()
         assert not CycNumber.zero(n).is_root_of_unity()
-    assert (-embed(RootOfUnity.of(1, 3), 3)).as_root_of_unity() is None
+    assert (-embed(RootOfUnity.of(1, 3), 3)).as_root_of_unity() == RootOfUnity.of(5, 6)
     assert not (embed(ONE, 4) + embed(RootOfUnity.of(1, 4), 4)).is_root_of_unity()
 
 
@@ -359,7 +340,6 @@ def test_embed_requires_compatible_conductor():
 def test_spec_conductor():
     roots = [ONE, RootOfUnity.of(1, 6), RootOfUnity.of(1, 4)]
     assert spec_conductor(roots) == 12
-    assert spec_conductor(roots, 5) == 60
 
 
 @given(st.integers(-30, 30), st.integers(1, 24), st.integers(-30, 30), st.integers(1, 24))

@@ -97,6 +97,24 @@ def test_block_spec_realizes_block_form_gamma():
         assert block_spec(u, -1).gamma_squared() == u
 
 
+def test_from_exponents_refuses_floats():
+    # 1/7 as a float is a binary fraction of order 2^54: classify would read
+    # the spectrum as infinite, while the exact one is finite
+    with pytest.raises(InvalidSpec, match="float"):
+        EigenSpec.from_exponents([0, 1 / 7, 5 / 7])
+    with pytest.raises(InvalidSpec, match="float"):
+        EigenSpec.from_exponents(["0", "1/5", "17/20", "19/20", "1/2"], gamma=0.3)
+    exact = EigenSpec.from_exponents([0, Fraction(1, 7), "5/7"])
+    assert exact == EigenSpec.from_exponents(["0", "1/7", "5/7"])
+
+
+def test_gamma_is_read_as_an_exponent_is():
+    eigs = ["0", "1/5", "17/20", "19/20", "1/2"]
+    spec = EigenSpec.from_exponents(eigs, gamma=Fraction(3, 10))
+    assert spec == EigenSpec.from_exponents(eigs, gamma="3/10")
+    assert spec == EigenSpec.from_exponents(eigs, gamma=RootOfUnity.of(3, 10))
+
+
 def test_gamma_squared_absent_without_sign():
     spec = EigenSpec.from_exponents(["0/1", "1/2", "1/10", "3/5"])
     assert spec.gamma_squared() is None

@@ -5,7 +5,10 @@ attribute), so a deletion leaves nothing unused behind.  Every record's
 compared with a string literal, so what differs between families (or any
 other named records) lives in their data, not in checks keyed on a name.
 `exactfield._convolve` and `exactfield._reduce` are read only inside
-`exactfield.dot`, so every cyclotomic product goes through that one kernel."""
+`exactfield.dot`, so every cyclotomic product goes through that one kernel.
+No module but `_fastclosure`, whose float64 arrays are guarded below 2^53,
+holds a float constant or calls `float(...)`, so the exact layers stay exact;
+`isinstance(x, float)`, which refuses a float, is allowed."""
 
 import ast
 from pathlib import Path
@@ -192,3 +195,27 @@ def test_name_check_finds_each_form():
         'fam.label == "G2"\n'
     )
     assert _name_checks(ast.parse(source)) == [1, 2, 3, 4]
+
+
+def _float_uses(tree: ast.Module) -> list[int]:
+    """Lines that hold a float constant or call float(...)."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Constant) and isinstance(n.value, float))
+        or (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "float")
+    )
+
+
+EXACT_MODULES = [p for p in MODULES if p.stem != "_fastclosure"]
+
+
+@pytest.mark.parametrize("path", EXACT_MODULES, ids=[p.stem for p in EXACT_MODULES])
+def test_no_float_outside_the_fast_closure(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _float_uses(tree) == [], f"{path.name}: floats at lines {_float_uses(tree)}"
+
+
+def test_float_check_finds_each_form():
+    source = "x = 0.5\ny = float(x)\nz = 1e3\nisinstance(x, float)\nw = 2\n"
+    assert _float_uses(ast.parse(source)) == [1, 2, 3]
